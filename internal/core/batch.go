@@ -48,12 +48,10 @@ func newBatch[W any](g *dpgraph.Graph[W], sorted bool) *batchEnum[W] {
 		}
 		si := serial[j]
 		st := g.Stages[si]
-		parentState := cur[st.Parent]
-		gi := g.Stages[st.Parent].States[parentState].Groups[st.Branch]
-		grp := &st.Groups[gi]
-		for _, m := range grp.Members {
+		gi := g.Stages[st.Parent].Link(cur[st.Parent], st.Branch)
+		for _, m := range st.Groups[gi].Members {
 			cur[si] = m
-			rec(j+1, d.Times(w, st.States[m].EffWeight))
+			rec(j+1, d.Times(w, st.EffWeight[m]))
 		}
 		cur[si] = -1
 	}
@@ -83,15 +81,15 @@ func Count[W any](g *dpgraph.Graph[W]) float64 {
 	counts := make([][]float64, len(g.Stages))
 	for idx := len(g.Stages) - 1; idx >= 0; idx-- {
 		st := g.Stages[idx]
-		counts[idx] = make([]float64, len(st.States))
-		for s := range st.States {
+		counts[idx] = make([]float64, st.N)
+		for s := range counts[idx] {
 			c := 1.0
 			dead := false
 			for b, cs := range st.ChildStages {
 				if g.Stages[cs].Pruned {
 					continue
 				}
-				gi := st.States[s].Groups[b]
+				gi := st.Link(int32(s), b)
 				if gi < 0 {
 					dead = true
 					break

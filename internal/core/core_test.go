@@ -40,12 +40,12 @@ func bruteForce(g *dpgraph.Graph[float64]) []float64 {
 				if st.Parent != 0 {
 					p := g.Stages[st.Parent]
 					for i, c := range st.JoinCols {
-						if st.Rows[cur[si]][c] != p.Rows[cur[st.Parent]][st.ParentJoinCols[i]] {
+						if st.Cols[c][cur[si]] != p.Cols[st.ParentJoinCols[i]][cur[st.Parent]] {
 							okAll = false
 						}
 					}
 				}
-				w += g.Stages[si].States[cur[si]].Weight
+				w += g.Stages[si].Weight[cur[si]]
 			}
 			if okAll {
 				out = append(out, w)
@@ -57,7 +57,7 @@ func bruteForce(g *dpgraph.Graph[float64]) []float64 {
 			rec(1)
 			return
 		}
-		for r := range g.Stages[idx].Rows {
+		for r := 0; r < g.Stages[idx].N; r++ {
 			cur[idx] = int32(r)
 			rec(idx + 1)
 		}
@@ -81,12 +81,12 @@ func checkSolution(t *testing.T, g *dpgraph.Graph[float64], s Solution[float64])
 		if r < 0 {
 			t.Fatalf("solution missing state for stage %s", st.Name)
 		}
-		w += st.States[r].Weight
+		w += st.Weight[r]
 		if st.Parent != 0 {
 			p := g.Stages[st.Parent]
 			pr := s.States[st.Parent]
 			for i, c := range st.JoinCols {
-				if st.Rows[r][c] != p.Rows[pr][st.ParentJoinCols[i]] {
+				if st.Cols[c][r] != p.Cols[st.ParentJoinCols[i]][pr] {
 					t.Fatalf("join violation between %s and %s", st.Name, p.Name)
 				}
 			}

@@ -88,9 +88,9 @@ func newPart[W any](g *dpgraph.Graph[W], variant Algorithm) *partEnum[W] {
 		// no candidates: Next returns false immediately
 	case len(g.Serial) == 0:
 		// Degenerate: every stage pruned — a single solution remains.
-		e.cand.Push(cand[W]{prio: g.Stages[0].States[0].Opt, r: -1})
+		e.cand.Push(cand[W]{prio: g.Stages[0].Opt[0], r: -1})
 	default:
-		e.cand.Push(cand[W]{prio: g.Stages[0].States[0].Opt, r: 0, choice: 0})
+		e.cand.Push(cand[W]{prio: g.Stages[0].Opt[0], r: 0, choice: 0})
 	}
 	return e
 }
@@ -116,8 +116,7 @@ func (e *partEnum[W]) Next() (Solution[W], bool) {
 	for j := int(c.r); j < len(e.g.Serial); j++ {
 		si := e.g.Serial[j]
 		st := e.g.Stages[si]
-		parentState := e.cur[st.Parent]
-		gi := e.g.Stages[st.Parent].States[parentState].Groups[st.Branch]
+		gi := e.g.Stages[st.Parent].Link(e.cur[st.Parent], st.Branch)
 		grp := &st.Groups[gi]
 		pg := &e.groups[si][gi]
 		if !pg.inited {
@@ -153,7 +152,7 @@ func (e *partEnum[W]) Next() (Solution[W], bool) {
 			if link != nil {
 				prev = link.accW
 			}
-			accW = e.d.Times(prev, st.States[state].EffWeight)
+			accW = e.d.Times(prev, st.EffWeight[state])
 		}
 		link = e.newChain(link, int32(si), state, accW)
 	}
@@ -222,8 +221,7 @@ func (e *partEnum[W]) openBranches(stage int, state int32, j int) W {
 			continue
 		}
 		child := e.g.Stages[cs]
-		gi := st.States[state].Groups[b]
-		w = d.Times(w, child.Groups[gi].Min)
+		w = d.Times(w, child.Groups[st.Link(state, b)].Min)
 	}
 	return w
 }

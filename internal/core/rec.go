@@ -84,7 +84,7 @@ func (e *recEnum[W]) Next() (Solution[W], bool) {
 	}
 	e.materialize(0, 0, int32(e.k))
 	e.k++
-	weight := e.d.Times(e.g.Stages[0].States[0].EffWeight, cost)
+	weight := e.d.Times(e.g.Stages[0].EffWeight[0], cost)
 	return Solution[W]{States: e.cur, Weight: weight}, true
 }
 
@@ -104,8 +104,7 @@ func (e *recEnum[W]) stateSolCost(stage int, state int32, rank int32) (W, bool) 
 	case 1:
 		b := branches[0]
 		cs := st.ChildStages[b]
-		gi := st.States[state].Groups[b]
-		suf, ok := e.groupSol(cs, gi, rank)
+		suf, ok := e.groupSol(cs, st.Link(state, b), rank)
 		if !ok {
 			var zero W
 			return zero, false
@@ -172,8 +171,7 @@ func (e *recEnum[W]) combCost(st *dpgraph.Stage[W], state int32, ranks []int32) 
 	cost := e.d.One()
 	for d, b := range st.UnprunedBranches {
 		cs := st.ChildStages[b]
-		gi := st.States[state].Groups[b]
-		suf, ok := e.groupSol(cs, gi, ranks[d])
+		suf, ok := e.groupSol(cs, st.Link(state, b), ranks[d])
 		if !ok {
 			var zero W
 			return zero, false
@@ -201,7 +199,7 @@ func (e *recEnum[W]) groupSol(stage int, gi int32, rank int32) (recSuffix[W], bo
 		}
 		memberState := grp.Members[top.member]
 		if cost, ok2 := e.stateSolCost(stage, memberState, top.rank+1); ok2 {
-			w := e.d.Times(st.States[memberState].EffWeight, cost)
+			w := e.d.Times(st.EffWeight[memberState], cost)
 			rg.pq.Push(recSuffix[W]{cost: w, member: top.member, rank: top.rank + 1})
 			e.pushes++
 		}
@@ -254,7 +252,7 @@ func (e *recEnum[W]) materialize(stage int, state int32, rank int32) {
 	}
 	for d, b := range branches {
 		cs := st.ChildStages[b]
-		gi := st.States[state].Groups[b]
+		gi := st.Link(state, b)
 		// groupSol is idempotent; rank-0 entries seeded from precomputed
 		// group costs may not have been expanded yet, so force the memo.
 		suf, _ := e.groupSol(cs, gi, ranks[d])

@@ -58,6 +58,7 @@ func UniformDom(l, n, dom int, seed int64) *relation.DB {
 	db := relation.NewDB()
 	for i := 1; i <= l; i++ {
 		rel := relation.New(fmt.Sprintf("R%d", i), "A1", "A2")
+		rel.Grow(n)
 		for k := 0; k < n; k++ {
 			rel.Add(r.Float64()*10000, int64(r.Intn(dom)), int64(r.Intn(dom)))
 		}
@@ -76,6 +77,7 @@ func WorstCaseCycle(l, n int, seed int64) *relation.DB {
 	db := relation.NewDB()
 	for i := 1; i <= l; i++ {
 		rel := relation.New(fmt.Sprintf("R%d", i), "A1", "A2")
+		rel.Grow(n)
 		for k := 1; k <= n/2; k++ {
 			rel.Add(r.Float64()*10000, 0, int64(k))
 			rel.Add(r.Float64()*10000, int64(k), 0)

@@ -1,6 +1,7 @@
 package dpgraph
 
 import (
+	"strings"
 	"testing"
 
 	"anyk/internal/dioid"
@@ -39,7 +40,7 @@ func TestExample6BottomUp(t *testing.T) {
 		t.Fatal("nonempty product reported empty")
 	}
 	// π1 at state "2" of stage 1 should be 2+10+100 = 112 (Example 7).
-	if got := g.Stages[1].States[1].Opt; got != 112 {
+	if got := g.Stages[1].Opt[1]; got != 112 {
 		t.Fatalf("Opt(\"2\") = %v, want 112", got)
 	}
 	// Single shared group per stage (empty join key).
@@ -69,7 +70,7 @@ func TestDeadStateElimination(t *testing.T) {
 	}
 	st1 := g.Stages[1]
 	// tuple (2,99) must be dead: Opt = Zero
-	if g.D.Less(st1.States[1].Opt, g.D.Zero()) {
+	if g.D.Less(st1.Opt[1], g.D.Zero()) {
 		t.Fatal("dead state has finite Opt")
 	}
 	// root group over R1 contains only the alive tuple
@@ -113,21 +114,49 @@ func TestAssembleRow(t *testing.T) {
 }
 
 func TestBuildErrors(t *testing.T) {
-	if _, err := Build[float64](dioid.Tropical{}, nil, nil); err == nil {
-		t.Fatal("expected error for no inputs")
+	type in = StageInput[float64]
+	ok := in{Name: "A", Vars: []string{"x", "y"}, Parent: -1, Rows: [][]Value{{1, 2}}, Weights: []float64{1}}
+	pruned := in{Name: "P", Vars: []string{"x", "z"}, Parent: 0, Prune: true, Rows: [][]Value{{1, 3}}, Weights: []float64{1}}
+	cases := []struct {
+		name    string
+		inputs  []in
+		outVars []string
+		want    string // substring of the error
+	}{
+		{"no inputs", nil, nil, "no stage inputs"},
+		{"parent after child", []in{{Name: "A", Vars: []string{"x"}, Parent: 1}, {Name: "B", Vars: []string{"x"}, Parent: -1}}, nil, "input 0 (A): parent 1 out of preorder"},
+		{"parent is self", []in{{Name: "A", Vars: []string{"x"}, Parent: 0}}, nil, "input 0 (A): parent 0 out of preorder"},
+		{"parent below -1", []in{{Name: "A", Vars: []string{"x"}, Parent: -2}}, nil, "input 0 (A): parent -2 out of preorder"},
+		{"rows without weights", []in{{Name: "A", Vars: []string{"x"}, Parent: -1, Rows: [][]Value{{1}}}}, nil, "input 0 (A): 1 rows but 0 weights"},
+		{"weights without rows", []in{{Name: "A", Vars: []string{"x"}, Parent: -1, Rows: [][]Value{}, Weights: []float64{1}}}, nil, "0 rows but 1 weights"},
+		{"short row", []in{ok, {Name: "B", Vars: []string{"y", "z"}, Parent: 0, Rows: [][]Value{{2, 5}, {2}}, Weights: []float64{1, 1}}}, nil, "input 1 (B): row 1 has 1 values for 2 variables"},
+		{"long row", []in{{Name: "A", Vars: []string{"x"}, Parent: -1, Rows: [][]Value{{1, 2}}, Weights: []float64{1}}}, nil, "row 0 has 2 values for 1 variables"},
+		{"rows and cols", []in{{Name: "A", Vars: []string{"x"}, Parent: -1, Rows: [][]Value{{1}}, Cols: [][]Value{{1}}, Weights: []float64{1}}}, nil, "both Rows and Cols are set"},
+		{"neither rows nor cols", []in{{Name: "A", Vars: []string{"x"}, Parent: -1, Weights: []float64{1}}}, nil, "neither Rows nor Cols is set, but 1 weights"},
+		{"column count", []in{{Name: "A", Vars: []string{"x", "y"}, Parent: -1, Cols: [][]Value{{1}}, Weights: []float64{1}}}, nil, "1 columns for 2 variables"},
+		{"ragged cols", []in{{Name: "A", Vars: []string{"x", "y"}, Parent: -1, Cols: [][]Value{{1, 2}, {3}}, Weights: []float64{1, 1}}}, nil, "column 1 (y) has 1 values but there are 2 weights"},
+		{"cols without weights", []in{{Name: "A", Vars: []string{"x"}, Parent: -1, Cols: [][]Value{{1, 2}}, Weights: []float64{1}}}, nil, "column 0 (x) has 2 values but there are 1 weights"},
+		{"unknown output variable", []in{ok}, []string{"x", "nope"}, "output variable nope is bound by no unpruned stage"},
+		{"output variable of a pruned stage", []in{ok, pruned}, []string{"x", "z"}, "output variable z is bound by no unpruned stage"},
+		{"output variable twice", []in{ok}, []string{"x", "x"}, "output variable x is listed twice"},
 	}
-	_, err := Build[float64](dioid.Tropical{}, []StageInput[float64]{
-		{Name: "A", Vars: []string{"x"}, Parent: 1},
-		{Name: "B", Vars: []string{"x"}, Parent: -1},
-	}, nil)
-	if err == nil {
-		t.Fatal("expected preorder violation error")
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			g, err := Build[float64](dioid.Tropical{}, c.inputs, c.outVars)
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("Build = %v, %v; want an error containing %q", g, err, c.want)
+			}
+		})
 	}
-	_, err = Build[float64](dioid.Tropical{}, []StageInput[float64]{
-		{Name: "A", Vars: []string{"x"}, Parent: -1, Rows: [][]Value{{1}}, Weights: nil},
-	}, nil)
-	if err == nil {
-		t.Fatal("expected rows/weights mismatch error")
+	// The spellings Build must keep accepting: an input with no tuples at
+	// all (what append-built stages look like when nothing qualified), and
+	// outVars a subset of the bound variables.
+	g, err := Build[float64](dioid.Tropical{}, []in{ok, {Name: "E", Vars: []string{"y", "z"}, Parent: 0}}, []string{"y"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.BottomUp(); !g.Empty() || g.Stages[2].N != 0 {
+		t.Fatalf("empty stage: N=%d empty=%v", g.Stages[2].N, g.Empty())
 	}
 }
 
@@ -152,8 +181,8 @@ func TestTreeShapedGraph(t *testing.T) {
 		t.Fatalf("branches wrong: %+v", st1)
 	}
 	// Opt of center tuple (2,6): 2+30+200 = 232
-	if st1.States[1].Opt != 232 {
-		t.Fatalf("Opt((2,6)) = %v", st1.States[1].Opt)
+	if st1.Opt[1] != 232 {
+		t.Fatalf("Opt((2,6)) = %v", st1.Opt[1])
 	}
 }
 
@@ -173,8 +202,8 @@ func TestPrunedBranchFoldsIntoEffWeight(t *testing.T) {
 		t.Fatalf("opt = %v, want 41", got)
 	}
 	st1 := g.Stages[1]
-	if st1.States[0].EffWeight != 41 || st1.States[1].EffWeight != 62 {
-		t.Fatalf("EffWeights = %v, %v", st1.States[0].EffWeight, st1.States[1].EffWeight)
+	if st1.EffWeight[0] != 41 || st1.EffWeight[1] != 62 {
+		t.Fatalf("EffWeights = %v, %v", st1.EffWeight[0], st1.EffWeight[1])
 	}
 	if len(g.Serial) != 1 || g.Serial[0] != 1 {
 		t.Fatalf("Serial = %v", g.Serial)

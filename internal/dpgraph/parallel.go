@@ -15,6 +15,9 @@ const parMinChunk = 2048
 // exactly one worker, so any f writing only to its own indexes is
 // deterministic regardless of the worker count.
 func parallelFor(workers, n int, f func(lo, hi int)) {
+	if n == 0 {
+		return
+	}
 	if workers > n/parMinChunk {
 		workers = n / parMinChunk
 	}
@@ -43,9 +46,10 @@ func parallelFor(workers, n int, f func(lo, hi int)) {
 // minima), so the reverse serialized order is kept; within one stage the
 // per-state Opt/EffWeight computations are independent of each other, as are
 // the per-group shrink passes, and both parallelize freely. Each group is
-// shrunk entirely by one worker, so Members order, Costs and the MinIdx
-// tie-break match the serial pass exactly — the worker count never changes
-// the graph that enumeration sees. workers <= 0 uses GOMAXPROCS.
+// shrunk entirely by one worker, within its own window of the stage's CSR
+// arrays, so Members order, Costs and the MinIdx tie-break match the serial
+// pass exactly — the worker count never changes the graph that enumeration
+// sees. workers <= 0 uses GOMAXPROCS.
 func (g *Graph[W]) BottomUpP(workers int) W {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -54,50 +58,65 @@ func (g *Graph[W]) BottomUpP(workers int) W {
 	zero := d.Zero()
 	for idx := len(g.Stages) - 1; idx >= 0; idx-- {
 		st := g.Stages[idx]
-		parallelFor(workers, len(st.States), func(lo, hi int) {
-			for s := lo; s < hi; s++ {
-				state := &st.States[s]
-				opt := state.Weight
-				eff := state.Weight
-				for b, cs := range st.ChildStages {
-					child := g.Stages[cs]
+		k := len(st.ChildStages)
+		folds := g.hasPrunedChild(st) // else EffWeight is Weight: nothing to write
+		// The children's group minima, packed: the state loop below looks one
+		// up per state and branch, and a Group is eight times a W wide.
+		mins := make([][]W, k)
+		for b, cs := range st.ChildStages {
+			groups := g.Stages[cs].Groups
+			mins[b] = make([]W, len(groups))
+			for gi := range groups {
+				mins[b][gi] = groups[gi].Min
+			}
+		}
+		parallelFor(workers, st.N, func(lo, hi int) {
+			copy(st.Opt[lo:hi], st.Weight[lo:hi])
+			if folds {
+				copy(st.EffWeight[lo:hi], st.Weight[lo:hi])
+			}
+			// Branch by branch, so each pass streams through Links and the
+			// weight arrays; per state the ⊗ order is still branch order.
+			for b, cs := range st.ChildStages {
+				pruned := g.Stages[cs].Pruned
+				for s := lo; s < hi; s++ {
 					m := zero
-					if gi := state.Groups[b]; gi >= 0 {
-						m = child.Groups[gi].Min
+					if gi := st.Links[s*k+b]; gi >= 0 {
+						m = mins[b][gi]
 					}
-					opt = d.Times(opt, m)
-					if child.Pruned {
-						eff = d.Times(eff, m)
+					st.Opt[s] = d.Times(st.Opt[s], m)
+					if pruned {
+						st.EffWeight[s] = d.Times(st.EffWeight[s], m)
 					}
 				}
-				state.Opt = opt
-				state.EffWeight = eff
 			}
 		})
-		if idx == 0 {
-			break
-		}
 		parallelFor(workers, len(st.Groups), func(lo, hi int) {
+			// Gather the costs of these groups' window of the CSR in one
+			// tight loop (the one random read per state; kept free of calls
+			// so that the misses overlap), then shrink group by group.
+			from, to := st.starts[lo], st.starts[hi]
+			for i, m := range st.members[from:to] {
+				st.costs[int(from)+i] = st.Opt[m]
+			}
 			for gi := lo; gi < hi; gi++ {
 				grp := &st.Groups[gi]
-				grp.Members = grp.Members[:0]
-				grp.Costs = grp.Costs[:0]
-				grp.Min = zero
-				grp.MinIdx = -1
-				for _, m := range grp.all {
-					c := st.States[m].Opt
+				members, costs := grp.Members, grp.Costs
+				best, bestIdx, alive := zero, int32(-1), int32(0)
+				for i, c := range costs {
 					if !d.Less(c, zero) {
 						continue // dead state
 					}
-					grp.Members = append(grp.Members, m)
-					grp.Costs = append(grp.Costs, c)
-					if grp.MinIdx < 0 || d.Less(c, grp.Min) {
-						grp.Min = c
-						grp.MinIdx = int32(len(grp.Members) - 1)
+					members[alive], costs[alive] = members[i], c
+					if bestIdx < 0 || d.Less(c, best) {
+						best, bestIdx = c, alive
 					}
+					alive++
 				}
+				grp.Members, grp.Costs = members[:alive], costs[:alive]
+				grp.Min, grp.MinIdx = best, bestIdx
 			}
 		})
 	}
-	return g.Stages[0].States[0].Opt
+	return g.Stages[0].Opt[0]
 }

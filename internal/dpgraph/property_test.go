@@ -36,14 +36,14 @@ func randomTreeInputs(r *rand.Rand, nstages, rows, dom int) []StageInput[float64
 // exhaustive recursion over raw rows (no group machinery).
 func bruteOpt(g *Graph[float64], stage int, state int32) float64 {
 	st := g.Stages[stage]
-	w := st.States[state].Weight
+	w := st.Weight[state]
 	for _, cs := range st.ChildStages {
 		child := g.Stages[cs]
 		best := math.Inf(1)
-		for r := range child.Rows {
+		for r := 0; r < child.N; r++ {
 			ok := true
 			for i, c := range child.JoinCols {
-				if child.Rows[r][c] != st.Rows[state][child.ParentJoinCols[i]] {
+				if child.Cols[c][r] != st.Cols[child.ParentJoinCols[i]][state] {
 					ok = false
 					break
 				}
@@ -73,9 +73,8 @@ func TestBottomUpOptMatchesBruteForce(t *testing.T) {
 		g.BottomUp()
 		for si := 1; si < len(g.Stages); si++ {
 			st := g.Stages[si]
-			for s := range st.States {
+			for s, got := range st.Opt {
 				want := bruteOpt(g, si, int32(s))
-				got := st.States[s].Opt
 				if got != want && !(math.IsInf(got, 1) && math.IsInf(want, 1)) {
 					t.Fatalf("trial %d stage %d state %d: Opt=%v brute=%v", trial, si, s, got, want)
 				}
@@ -103,7 +102,7 @@ func TestGroupInvariants(t *testing.T) {
 				grp := &st.Groups[gi]
 				min := math.Inf(1)
 				for i, m := range grp.Members {
-					opt := st.States[m].Opt
+					opt := st.Opt[m]
 					if math.IsInf(opt, 1) {
 						t.Fatalf("dead member %d in group", m)
 					}

@@ -25,6 +25,7 @@ import (
 
 	"anyk/internal/dioid"
 	"anyk/internal/dpgraph"
+	"anyk/internal/obs"
 	"anyk/internal/query"
 	"anyk/internal/relation"
 )
@@ -206,26 +207,76 @@ func prepare[W any](db *relation.DB, q *query.CQ, d dioid.Dioid[W], opt Options)
 // afterwards (dpgraph graphs are read-only once BottomUp has run — all
 // enumerator state lives in package core's per-enumerator structures).
 func cachedGraphs[W any](opt Options, planKey, layout string, build func() ([]unionGraph[W], error)) ([]unionGraph[W], error) {
-	if opt.Cache == nil || planKey == "" {
-		return build()
-	}
+	caching := opt.Cache != nil && planKey != ""
 	key := planKey + "|graphs/" + layout
-	if v, ok := opt.Cache.lookup(key); ok {
-		if gs, ok := v.([]unionGraph[W]); ok {
-			return gs, nil
+	if caching {
+		if v, ok := opt.Cache.lookup(key); ok {
+			if gs, ok := v.([]unionGraph[W]); ok {
+				traceGraphs(opt.Tracer, gs)
+				return gs, nil
+			}
 		}
 	}
 	gs, err := build()
 	if err != nil {
 		return nil, err
 	}
-	opt.Cache.store(key, gs)
+	if caching {
+		opt.Cache.store(key, gs)
+	}
+	traceGraphs(opt.Tracer, gs)
 	return gs, nil
 }
 
 // unionGraph is one built member of a T-DP union: the graph plus the index
-// of the decomposition tree it enumerates (shards of one tree share it).
+// of the decomposition tree it enumerates (shards of one tree share it), and
+// the graph's size figures, taken once at build time so that cache hits can
+// report them too.
 type unionGraph[W any] struct {
 	g    *dpgraph.Graph[W]
 	tree int
+
+	states, groups, largestGroup int
+	bytes                        int64
+}
+
+// buildGraph runs dpgraph.Build and the bottom-up pass (over workers
+// goroutines) for one tree or shard, under a span called name with one child
+// span per phase: "graph-build" and "bottom-up", the two the benchmark times.
+func buildGraph[W any](d dioid.Dioid[W], inputs []dpgraph.StageInput[W], outVars []string, tree, workers int, tr *obs.Trace, parent obs.SpanID, name string) (unionGraph[W], error) {
+	sp := tr.BeginChild(parent, name)
+	defer tr.End(sp)
+	phase := tr.BeginChild(sp, "graph-build")
+	g, err := dpgraph.Build[W](d, inputs, outVars)
+	tr.End(phase)
+	if err != nil {
+		return unionGraph[W]{}, fmt.Errorf("tree %d: %w", tree, err)
+	}
+	phase = tr.BeginChild(sp, "bottom-up")
+	g.BottomUpP(workers)
+	tr.End(phase)
+	ug := unionGraph[W]{g: g, tree: tree, states: g.NumStates(), bytes: g.SizeBytes()}
+	ug.groups, ug.largestGroup = g.GroupStats()
+	return ug, nil
+}
+
+// traceGraphs puts the state-space size of a query's graphs on the trace:
+// states, groups and resident bytes summed over its trees and shards, and the
+// largest choice set among them.
+func traceGraphs[W any](tr *obs.Trace, graphs []unionGraph[W]) {
+	if tr == nil {
+		return
+	}
+	var states, groups, largest int
+	var bytes int64
+	for _, ug := range graphs {
+		states += ug.states
+		groups += ug.groups
+		bytes += ug.bytes
+		largest = max(largest, ug.largestGroup)
+	}
+	tr.SetCounter("dp_states", int64(states))
+	tr.SetCounter("dp_groups", int64(groups))
+	tr.SetCounter("dp_largest_group", int64(largest))
+	tr.SetCounter("dp_bytes", bytes)
 }

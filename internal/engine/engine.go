@@ -372,14 +372,11 @@ func EnumerateUnion[W any](d dioid.Dioid[W], trees [][]dpgraph.StageInput[W], ou
 	graphs, err := cachedGraphs(opt, opt.planKey, "serial", func() ([]unionGraph[W], error) {
 		out := make([]unionGraph[W], 0, len(trees))
 		for i, inputs := range trees {
-			treeSpan := opt.Tracer.BeginChild(buildSpan, fmt.Sprintf("tree-%d", i))
-			g, err := dpgraph.Build[W](d, inputs, outVars)
+			ug, err := buildGraph(d, inputs, outVars, i, 1, opt.Tracer, buildSpan, fmt.Sprintf("tree-%d", i))
 			if err != nil {
-				return nil, fmt.Errorf("tree %d: %w", i, err)
+				return nil, err
 			}
-			g.BottomUp()
-			opt.Tracer.End(treeSpan)
-			out = append(out, unionGraph[W]{g: g, tree: i})
+			out = append(out, ug)
 		}
 		return out, nil
 	})
@@ -446,12 +443,19 @@ func compileAcyclic[W any](db *relation.DB, q *query.CQ, d dioid.Dioid[W], opt O
 	}, nil
 }
 
-// stageInputs materializes the plan's nodes: full nodes carry the relation's
-// rows with lifted weights (stage index = atom index, so lexicographic and
-// tie-break dioids see the query's atom order); projected connex nodes carry
-// distinct projections with weight 1̄ (their real weights arrive from the
-// pruned originals below, Thm 20); pure connex nodes deduplicate keeping the
-// Plus-minimal weight.
+// stageInputs lowers the plan's nodes to columnar stage inputs, all the same
+// way: choose the relation rows the stage is built from, gather each bound
+// column at those rows into a block of the stage's own (a snapshot: later
+// SetAt/Add on the relation never reach a compiled plan), and lift the
+// weights. Full nodes take every row, or the ascending ids a filtered scan
+// yields, with the row's lifted weight (stage index = atom index, so
+// lexicographic and tie-break dioids see the query's atom order, and Lift row
+// ids are those of a pre-materialized filtered copy). Projected connex nodes
+// and — under MinWeight — pure connex nodes take one row per group of the
+// relation's cached (predicate-aware) hash index: the former with weight 1̄
+// (their real weights arrive from the pruned originals below, Thm 20), the
+// latter Plus-folding the group's weights in row order — the fold order a
+// filtered scan produces, so tie-breaking dioids agree.
 func stageInputs[W any](db *relation.DB, plan *query.Plan, d dioid.Dioid[W], minWeightQuery bool) ([]dpgraph.StageInput[W], error) {
 	order := plan.Order
 	posOf := make([]int, len(plan.Nodes))
@@ -470,17 +474,10 @@ func stageInputs[W any](db *relation.DB, plan *query.Plan, d dioid.Dioid[W], min
 		if node.Parent >= 0 {
 			parent = posOf[node.Parent]
 		}
-		in := dpgraph.StageInput[W]{
-			Name:   fmt.Sprintf("%s[%s]", atom.Rel, varList(node.Vars)),
-			Vars:   node.Vars,
-			Parent: parent,
-			Prune:  node.Prune,
-		}
 		preds, err := atom.ScanPreds(rel)
 		if err != nil {
 			return nil, err
 		}
-		projected := len(node.Vars) < len(atom.Vars)
 		cols := make([]int, len(node.Vars))
 		for i, v := range node.Vars {
 			c := -1
@@ -495,65 +492,62 @@ func stageInputs[W any](db *relation.DB, plan *query.Plan, d dioid.Dioid[W], min
 			}
 			cols[i] = c
 		}
+		projected := len(node.Vars) < len(atom.Vars)
+		var ids []int      // source row per stage row; nil = every row, in order
+		var groups [][]int // the rows each stage row stands for, when it is a group
+		n := rel.Size()
 		switch {
 		case projected || (minWeightQuery && !node.Prune):
-			// One row per index group, read off the relation's cached
-			// (predicate-aware) hash index instead of rescanning and
-			// re-deduplicating all rows per session. Projected nodes carry
-			// neutral weights (their real weights arrive from the pruned
-			// originals, Thm 20); pure connex nodes Plus-fold the group's
-			// weights in row order — the same fold order a filtered scan
-			// produces, so tie-breaking dioids agree.
-			idx := rel.FilteredGroupIndex(cols, preds)
-			in.Rows = flatProject(rel, cols, len(idx.Groups), func(g int) int { return idx.Groups[g][0] })
-			in.Weights = make([]W, len(idx.Groups))
-			for g, members := range idx.Groups {
-				if projected {
-					in.Weights[g] = d.One()
-					continue
-				}
-				w := d.Lift(rel.Weights[members[0]], node.Atom, int64(members[0]))
-				for _, r := range members[1:] {
-					w = d.Plus(w, d.Lift(rel.Weights[r], node.Atom, int64(r)))
-				}
-				in.Weights[g] = w
+			groups = rel.FilteredGroupIndex(cols, preds).Groups
+			ids = make([]int, len(groups))
+			for g, members := range groups {
+				ids[g] = members[0]
 			}
+			n = len(ids)
 		case len(preds) > 0:
-			// Filtered full node: the scan yields qualifying row ids in
-			// ascending order, so stage rows (and their Lift row ids) are
-			// exactly those of a pre-materialized filtered copy.
-			ids := rel.FilterScan(preds)
-			in.Rows = flatProject(rel, cols, len(ids), func(i int) int { return ids[i] })
-			in.Weights = make([]W, len(ids))
-			for i, r := range ids {
-				in.Weights[i] = d.Lift(rel.Weights[r], node.Atom, int64(r))
-			}
-		default:
-			in.Rows = flatProject(rel, cols, rel.Size(), func(r int) int { return r })
-			in.Weights = make([]W, rel.Size())
-			for r := 0; r < rel.Size(); r++ {
-				in.Weights[r] = d.Lift(rel.Weights[r], node.Atom, int64(r))
+			ids = rel.FilterScan(preds)
+			n = len(ids)
+		}
+		flat := make([]relation.Value, n*len(cols))
+		blocks := make([][]relation.Value, len(cols))
+		for i, c := range cols {
+			blocks[i] = flat[i*n : (i+1)*n : (i+1)*n]
+			if src := rel.Col(c); ids == nil {
+				copy(blocks[i], src)
+			} else {
+				for k, r := range ids {
+					blocks[i][k] = src[r]
+				}
 			}
 		}
-		inputs[pos] = in
+		lift := func(r int) W { return d.Lift(rel.Weights[r], node.Atom, int64(r)) }
+		weights := make([]W, n)
+		for k := range weights {
+			switch {
+			case projected:
+				weights[k] = d.One()
+			case groups != nil:
+				w := lift(groups[k][0])
+				for _, r := range groups[k][1:] {
+					w = d.Plus(w, lift(r))
+				}
+				weights[k] = w
+			case ids != nil:
+				weights[k] = lift(ids[k])
+			default:
+				weights[k] = lift(k)
+			}
+		}
+		inputs[pos] = dpgraph.StageInput[W]{
+			Name:    fmt.Sprintf("%s[%s]", atom.Rel, varList(node.Vars)),
+			Vars:    node.Vars,
+			Cols:    blocks,
+			Weights: weights,
+			Parent:  parent,
+			Prune:   node.Prune,
+		}
 	}
 	return inputs, nil
-}
-
-// flatProject materializes n projected rows of rel onto cols, row i sourced
-// from relation row src(i). All rows share one flat backing block (two
-// allocations total instead of one per row), read column-wise off the
-// relation's contiguous blocks.
-func flatProject(rel *relation.Relation, cols []int, n int, src func(int) int) [][]relation.Value {
-	a := len(cols)
-	flat := make([]relation.Value, n*a)
-	rows := make([][]relation.Value, n)
-	for i := 0; i < n; i++ {
-		row := flat[i*a : (i+1)*a : (i+1)*a]
-		rel.ProjectInto(row, src(i), cols)
-		rows[i] = row
-	}
-	return rows
 }
 
 func varList(vs []string) string {

@@ -26,7 +26,7 @@ import (
 // stage qualifies.
 func shardStage[W any](inputs []dpgraph.StageInput[W]) int {
 	for i, in := range inputs {
-		if !in.Prune && len(in.Rows) >= 2 {
+		if !in.Prune && in.NumRows() >= 2 {
 			return i
 		}
 	}
@@ -42,19 +42,17 @@ func shardInputs[W any](inputs []dpgraph.StageInput[W], s int) [][]dpgraph.Stage
 	if s < 2 || si < 0 {
 		return [][]dpgraph.StageInput[W]{inputs}
 	}
-	if n := len(inputs[si].Rows); s > n {
-		s = n
-	}
+	n := inputs[si].NumRows()
+	s = min(s, n)
 	out := make([][]dpgraph.StageInput[W], s)
+	ids := make([]int, 0, (n+s-1)/s)
 	for k := range out {
-		cp := append([]dpgraph.StageInput[W](nil), inputs...)
-		var rows [][]dpgraph.Value
-		var ws []W
-		for r := k; r < len(inputs[si].Rows); r += s {
-			rows = append(rows, inputs[si].Rows[r])
-			ws = append(ws, inputs[si].Weights[r])
+		ids = ids[:0]
+		for r := k; r < n; r += s {
+			ids = append(ids, r)
 		}
-		cp[si].Rows, cp[si].Weights = rows, ws
+		cp := append([]dpgraph.StageInput[W](nil), inputs...)
+		cp[si] = inputs[si].Subset(ids)
 		out[k] = cp
 	}
 	return out
@@ -132,15 +130,7 @@ func buildShardGraphs[W any](d dioid.Dioid[W], trees [][]dpgraph.StageInput[W], 
 		go func(i int) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			sp := tr.BeginChild(parent, fmt.Sprintf("shard-%d", i))
-			g, err := dpgraph.Build[W](d, shards[i].inputs, outVars)
-			if err != nil {
-				errs[i] = fmt.Errorf("tree %d: %w", shards[i].tree, err)
-				return
-			}
-			g.BottomUpP(workersPer)
-			graphs[i] = unionGraph[W]{g: g, tree: shards[i].tree}
-			tr.End(sp)
+			graphs[i], errs[i] = buildGraph(d, shards[i].inputs, outVars, shards[i].tree, workersPer, tr, parent, fmt.Sprintf("shard-%d", i))
 		}(i)
 	}
 	wg.Wait()

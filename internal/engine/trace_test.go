@@ -60,9 +60,31 @@ func TestTraceCoversPhasesSerialAndParallel(t *testing.T) {
 					t.Fatalf("span %q duration %g, want > 0", want, d)
 				}
 			}
+			unit := "tree-0"
 			if p > 1 {
-				if _, ok := names["shard-0"]; !ok {
-					t.Fatalf("parallel build has no shard child spans: %v", names)
+				unit = "shard-0"
+			}
+			// Each tree (or shard) names the two phases the benchmark times,
+			// as children of its own span.
+			for _, phase := range []string{"graph-build", "bottom-up"} {
+				found := false
+				for _, sp := range s.Spans {
+					if sp.Name == phase && sp.Parent >= 0 && s.Spans[sp.Parent].Name == unit && sp.DurationSeconds >= 0 {
+						found = true
+					}
+				}
+				if !found {
+					t.Fatalf("no closed %q span under %q: %v", phase, unit, names)
+				}
+			}
+			// 4 stages of 60 rows and the root, whatever the shard layout
+			// duplicates of them.
+			if got := tr.Counter("dp_states"); got < 241 {
+				t.Fatalf("dp_states = %d, want at least 241", got)
+			}
+			for _, c := range []string{"dp_groups", "dp_largest_group", "dp_bytes"} {
+				if tr.Counter(c) <= 0 {
+					t.Fatalf("counter %s = %d, want > 0", c, tr.Counter(c))
 				}
 			}
 			if s.Delays.Count < uint64(n-1) {
@@ -97,6 +119,10 @@ func TestTracePlanCacheHitCounter(t *testing.T) {
 		it.Close()
 		if got := tr.Counter("plan_cache_hit"); got != want {
 			t.Fatalf("session %d: plan_cache_hit = %d, want %d", i, got, want)
+		}
+		// The graph's size is reported whether it was built or found.
+		if got := tr.Counter("dp_states"); got != 61 {
+			t.Fatalf("session %d: dp_states = %d, want 61", i, got)
 		}
 	}
 }

@@ -6,6 +6,7 @@ package relation
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -214,6 +215,15 @@ func (r *Relation) Add(w float64, vals ...Value) int {
 		panic(err.Error())
 	}
 	return i
+}
+
+// Grow reserves room for n more rows, so a loader that knows its row count
+// appends without regrowing (and re-copying) the column blocks.
+func (r *Relation) Grow(n int) {
+	for c := range r.cols {
+		r.cols[c] = slices.Grow(r.cols[c], n)
+	}
+	r.Weights = slices.Grow(r.Weights, n)
 }
 
 // Size returns the number of rows.
