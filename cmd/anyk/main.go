@@ -40,7 +40,7 @@ var (
 	seedFlag    = flag.Int64("seed", 1, "random seed")
 	quietFlag   = flag.Bool("quiet", false, "suppress per-result output (timing only)")
 	jsonFlag    = flag.Bool("json", false, "emit one JSON object per row on stdout (summary goes to stderr)")
-	parFlag     = flag.Int("parallelism", 0, "workers for the sharded DP build and ranked merge (0 = GOMAXPROCS, 1 = serial)")
+	parFlag     = flag.Int("parallelism", 0, "workers for the bottom-up pass and the sharded ranked merge (0 = GOMAXPROCS, 1 = serial)")
 	traceFlag   = flag.Bool("trace", false, "record and print the phase span tree, delay percentiles, and MEM(k) counters")
 )
 

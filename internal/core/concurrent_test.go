@@ -48,22 +48,16 @@ func TestInterleavedEnumeratorsIndependent(t *testing.T) {
 	}
 }
 
-// shardFirstStage partitions the first stage's rows round-robin into s
-// shard input trees — the same rule the engine's parallel layer applies.
-func shardFirstStage(inputs []dpgraph.StageInput[float64], s int) [][]dpgraph.StageInput[float64] {
-	out := make([][]dpgraph.StageInput[float64], s)
-	for k := range out {
-		cp := append([]dpgraph.StageInput[float64](nil), inputs...)
-		var rows [][]dpgraph.Value
-		var ws []float64
-		for r := k; r < len(inputs[0].Rows); r += s {
-			rows = append(rows, inputs[0].Rows[r])
-			ws = append(ws, inputs[0].Weights[r])
+// shardIters returns one Take2 row iterator per nonempty view of g.Shards(s),
+// as the engine's parallel path wires them.
+func shardIters(g *dpgraph.Graph[float64], s int) []RowIter[float64] {
+	var iters []RowIter[float64]
+	for _, v := range g.Shards(s) {
+		if !v.Empty() {
+			iters = append(iters, NewGraphIter[float64](v, New[float64](v, Take2), 0))
 		}
-		cp[0].Rows, cp[0].Weights = rows, ws
-		out[k] = cp
 	}
-	return out
+	return iters
 }
 
 // TestConcurrentNextOnParallelMerge hammers one merged parallel iterator
@@ -73,20 +67,13 @@ func shardFirstStage(inputs []dpgraph.StageInput[float64], s int) [][]dpgraph.St
 func TestConcurrentNextOnParallelMerge(t *testing.T) {
 	r := rand.New(rand.NewSource(303))
 	inputs := randomInputs(r, 4, 24, 3)
-	ref := drain(New[float64](buildGraph(t, dioid.Tropical{}, inputs), Batch), 1<<30)
+	g := buildGraph(t, dioid.Tropical{}, inputs)
+	ref := drain(New[float64](g, Batch), 1<<30)
 	if len(ref) == 0 {
 		t.Skip("empty instance")
 	}
-	const shards, consumers = 4, 8
-	iters := make([]RowIter[float64], 0, shards)
-	for i, sh := range shardFirstStage(inputs, shards) {
-		g := buildGraph(t, dioid.Tropical{}, sh)
-		if g.Empty() {
-			continue
-		}
-		iters = append(iters, NewGraphIter[float64](g, New[float64](g, Take2), i))
-	}
-	m := NewParallelMerge[float64](dioid.Tropical{}, iters)
+	const consumers = 8
+	m := NewParallelMerge[float64](dioid.Tropical{}, shardIters(g, 4))
 	defer m.Close()
 	var wg sync.WaitGroup
 	got := make([][]Row[float64], consumers)
@@ -131,14 +118,7 @@ func TestConcurrentNextOnParallelMerge(t *testing.T) {
 func TestParallelMergeCloseReleasesProducers(t *testing.T) {
 	r := rand.New(rand.NewSource(304))
 	inputs := randomInputs(r, 4, 30, 2) // dense: plenty of rows per shard
-	iters := make([]RowIter[float64], 0, 4)
-	for i, sh := range shardFirstStage(inputs, 4) {
-		g := buildGraph(t, dioid.Tropical{}, sh)
-		if g.Empty() {
-			continue
-		}
-		iters = append(iters, NewGraphIter[float64](g, New[float64](g, Take2), i))
-	}
+	iters := shardIters(buildGraph(t, dioid.Tropical{}, inputs), 4)
 	if len(iters) == 0 {
 		t.Skip("empty instance")
 	}

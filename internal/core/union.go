@@ -65,24 +65,29 @@ func (it *graphIter[W]) Stats() Stats {
 
 // unionIter realizes UT-DP (Section 5.2): a top-level priority queue holds
 // the current head row of every T-DP enumerator; popping a row advances its
-// tree.
+// source.
 type unionIter[W any] struct {
-	d     dioid.Dioid[W]
 	iters []RowIter[W]
-	pq    *heapq.Heap[Row[W]]
+	pq    *heapq.Heap[unionHead[W]]
+}
+
+// unionHead is a source's current row beside the source's index, so that
+// rows pass through with the Tree tags their sources gave them.
+type unionHead[W any] struct {
+	row Row[W]
+	src int
 }
 
 // NewUnion merges several ranked row iterators into one ranked stream.
 func NewUnion[W any](d dioid.Dioid[W], iters ...RowIter[W]) RowIter[W] {
-	u := &unionIter[W]{d: d, iters: iters}
-	heads := make([]Row[W], 0, len(iters))
+	u := &unionIter[W]{iters: iters}
+	heads := make([]unionHead[W], 0, len(iters))
 	for i, it := range iters {
 		if r, ok := it.Next(); ok {
-			r.Tree = i
-			heads = append(heads, r)
+			heads = append(heads, unionHead[W]{r, i})
 		}
 	}
-	u.pq = heapq.From(heads, func(a, b Row[W]) bool { return d.Less(a.Weight, b.Weight) })
+	u.pq = heapq.From(heads, func(a, b unionHead[W]) bool { return d.Less(a.row.Weight, b.row.Weight) })
 	return u
 }
 
@@ -91,11 +96,10 @@ func (u *unionIter[W]) Next() (Row[W], bool) {
 	if !ok {
 		return Row[W]{}, false
 	}
-	if r, ok2 := u.iters[top.Tree].Next(); ok2 {
-		r.Tree = top.Tree
-		u.pq.Push(r)
+	if r, ok2 := u.iters[top.src].Next(); ok2 {
+		u.pq.Push(unionHead[W]{r, top.src})
 	}
-	return top, true
+	return top.row, true
 }
 
 // Stats sums the per-tree enumerator counters: each branch of a UT-DP union

@@ -23,8 +23,11 @@ func (s *sliceIter) Next() (Row[float64], bool) {
 
 func TestUnionMergesInRankOrder(t *testing.T) {
 	d := dioid.Tropical{}
-	a := &sliceIter{rows: []Row[float64]{{Vals: []int64{1}, Weight: 1}, {Vals: []int64{4}, Weight: 4}}}
-	b := &sliceIter{rows: []Row[float64]{{Vals: []int64{2}, Weight: 2}, {Vals: []int64{3}, Weight: 3}}}
+	// The sources tag their own rows (as graph iterators tag theirs with the
+	// decomposition tree); the union must pass the tags through, not replace
+	// them with the sources' positions.
+	a := &sliceIter{rows: []Row[float64]{{Vals: []int64{1}, Weight: 1, Tree: 5}, {Vals: []int64{4}, Weight: 4, Tree: 5}}}
+	b := &sliceIter{rows: []Row[float64]{{Vals: []int64{2}, Weight: 2, Tree: 2}, {Vals: []int64{3}, Weight: 3, Tree: 2}}}
 	u := NewUnion[float64](d, a, b)
 	var got []float64
 	var trees []int
@@ -45,7 +48,7 @@ func TestUnionMergesInRankOrder(t *testing.T) {
 			t.Fatalf("order: %v", got)
 		}
 	}
-	if trees[0] != 0 || trees[1] != 1 || trees[3] != 0 {
+	if trees[0] != 5 || trees[1] != 2 || trees[2] != 2 || trees[3] != 5 {
 		t.Fatalf("tree tags: %v", trees)
 	}
 }

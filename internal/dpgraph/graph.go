@@ -12,7 +12,8 @@
 // fixed number of arrays per stage whatever the row count, grouping join keys
 // without boxing them (keys.go), and BottomUp a fixed number per stage and
 // child. After BottomUp the graph is immutable, so any number of enumerators (package
-// core keeps all of its state outside the graph) may read it concurrently.
+// core keeps all of its state outside the graph) may read it concurrently,
+// directly or through the views Shards carves for parallel enumeration.
 package dpgraph
 
 import (
@@ -47,37 +48,6 @@ type StageInput[W any] struct {
 	Weights []W
 	Parent  int
 	Prune   bool
-}
-
-// NumRows returns the number of tuples of the input.
-func (in StageInput[W]) NumRows() int { return len(in.Weights) }
-
-// Subset returns the input restricted to the tuples at the given positions,
-// in that order and in the input's own spelling; the result shares nothing
-// mutable with the receiver.
-func (in StageInput[W]) Subset(ids []int) StageInput[W] {
-	out := in
-	out.Weights = make([]W, len(ids))
-	for i, r := range ids {
-		out.Weights[i] = in.Weights[r]
-	}
-	if in.Cols != nil {
-		out.Cols = make([][]Value, len(in.Cols))
-		for c, col := range in.Cols {
-			dst := make([]Value, len(ids))
-			for i, r := range ids {
-				dst[i] = col[r]
-			}
-			out.Cols[c] = dst
-		}
-	}
-	if in.Rows != nil {
-		out.Rows = make([][]Value, len(ids))
-		for i, r := range ids {
-			out.Rows[i] = in.Rows[r]
-		}
-	}
-	return out
 }
 
 // Group is a shared choice set: all states of a stage that agree on the join

@@ -2,6 +2,7 @@ package dpgraph
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 )
 
@@ -119,4 +120,71 @@ func (g *Graph[W]) BottomUpP(workers int) W {
 		})
 	}
 	return g.Stages[0].Opt[0]
+}
+
+// Shards splits the enumeration of a bottom-upped g into views for up to p
+// enumerators running concurrently. Every solution picks exactly one state of
+// the first unpruned root child with at least two states, so partitioning
+// that child's single choice set partitions the solutions: view k keeps the
+// members whose state id ≡ k mod min(p, N), in g's member order. A view
+// shares every array with g except two stages: its copy of that child, whose
+// one group is the view's members with their own Min/MinIdx, and its copy of
+// the root, whose Opt[0] is recomputed over the view's minima in branch order
+// — exactly what BottomUp would compute for a graph holding only those
+// states. A view whose members are all gone is Empty. Without such a child,
+// or with p < 2, Shards returns g alone. Views are read-only, for
+// enumeration: never run BottomUp on one.
+func (g *Graph[W]) Shards(p int) []*Graph[W] {
+	root := g.Stages[0]
+	ci := -1
+	for _, b := range root.UnprunedBranches {
+		if cs := root.ChildStages[b]; g.Stages[cs].N >= 2 {
+			ci = cs
+			break
+		}
+	}
+	if p < 2 || ci < 0 {
+		return []*Graph[W]{g}
+	}
+	d, child := g.D, g.Stages[ci]
+	s := min(p, child.N)
+	// View k's group is a window of the two arrays sized for every state id
+	// ≡ k mod s, so one pass over the (alive) members fills all of them.
+	all := child.Groups[0]
+	members := make([]int32, child.N)
+	costs := make([]W, child.N)
+	groups := make([]Group[W], s)
+	for k, off := 0, 0; k < s; k++ {
+		n := (child.N - k + s - 1) / s
+		groups[k] = Group[W]{Members: members[off : off : off+n], Costs: costs[off : off : off+n], MinIdx: -1, Min: d.Zero()}
+		off += n
+	}
+	for i, m := range all.Members {
+		v := &groups[int(m)%s]
+		c := all.Costs[i]
+		if v.MinIdx < 0 || d.Less(c, v.Min) {
+			v.Min, v.MinIdx = c, int32(len(v.Members))
+		}
+		v.Members = append(v.Members, m)
+		v.Costs = append(v.Costs, c)
+	}
+	views := make([]*Graph[W], s)
+	for k := range views {
+		v := *g
+		v.Stages = slices.Clone(g.Stages)
+		rootCopy, childCopy := *root, *child
+		childCopy.Groups = groups[k : k+1 : k+1]
+		v.Stages[0], v.Stages[ci] = &rootCopy, &childCopy
+		opt := root.Weight[0]
+		for b, cs := range root.ChildStages {
+			m := d.Zero()
+			if gi := root.Links[b]; gi >= 0 {
+				m = v.Stages[cs].Groups[gi].Min
+			}
+			opt = d.Times(opt, m)
+		}
+		rootCopy.Opt = []W{opt}
+		views[k] = &v
+	}
+	return views
 }

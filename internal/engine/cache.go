@@ -8,10 +8,12 @@ package engine
 //     dpgraph.StageInput trees — projection dedup, cycle bag
 //     materialization, GHD bag joins), keyed by
 //     (db identity, db version, query, dioid, semantics);
-//   - the built, bottom-upped DP graphs, additionally keyed by the shard
-//     layout (serial, or parallelism p). Enumerators in package core keep
-//     all per-enumeration state outside the graph, so one graph serves any
-//     number of concurrent sessions and any algorithm.
+//   - the built, bottom-upped DP graphs, under the plan's key alone: the
+//     graph does not depend on the parallelism (BottomUpP computes the same
+//     graph over any worker count, and parallel sessions enumerate views of
+//     it). Enumerators in package core keep all per-enumeration state
+//     outside the graph, so one graph serves any number of concurrent
+//     sessions, any algorithm and any parallelism.
 //
 // Invalidation is by construction: relation.DB.Version() is monotone over
 // every mutation, so a mutated database simply misses and compiles fresh
@@ -161,8 +163,8 @@ func (c *Cache) GetOrBuild(key string, build func() (any, error)) (v any, hit bo
 // version pin the data, the query string the shape, and the dioid (its
 // concrete type including parameters, which also encodes the weight type W)
 // plus the projection semantics pin the lifted weights. The algorithm and
-// parallelism are deliberately absent — they act downstream of the compiled
-// plan (enumerator choice, shard layout).
+// parallelism are deliberately absent — they act downstream of the built
+// graphs (enumerator choice, graph views).
 func planCacheKey[W any](db *relation.DB, q *query.CQ, d dioid.Dioid[W], sem Semantics) string {
 	return fmt.Sprintf("db=%d.%d|q=%s|d=%T%+v|sem=%d", db.ID(), db.Version(), q.String(), d, d, sem)
 }
@@ -170,7 +172,7 @@ func planCacheKey[W any](db *relation.DB, q *query.CQ, d dioid.Dioid[W], sem Sem
 // prepared is one compiled plan: the immutable stage-input trees of the
 // chosen decomposition route plus the plan description. Cached instances
 // are shared between sessions, so nothing reachable from here may be
-// mutated; dpgraph.Build and the shard splitter only read the inputs.
+// mutated; dpgraph.Build only reads the inputs.
 type prepared[W any] struct {
 	trees   [][]dpgraph.StageInput[W]
 	outVars []string
@@ -202,13 +204,13 @@ func prepare[W any](db *relation.DB, q *query.CQ, d dioid.Dioid[W], opt Options)
 	return p, key, false, nil
 }
 
-// cachedGraphs memoizes the build+bottom-up of a plan's trees under the
-// given shard layout. build must return graphs that are never mutated
-// afterwards (dpgraph graphs are read-only once BottomUp has run — all
-// enumerator state lives in package core's per-enumerator structures).
-func cachedGraphs[W any](opt Options, planKey, layout string, build func() ([]unionGraph[W], error)) ([]unionGraph[W], error) {
+// cachedGraphs memoizes the build+bottom-up of a plan's trees. build must
+// return graphs that are never mutated afterwards (dpgraph graphs are
+// read-only once BottomUp has run — all enumerator state lives in package
+// core's per-enumerator structures).
+func cachedGraphs[W any](opt Options, planKey string, build func() ([]unionGraph[W], error)) ([]unionGraph[W], error) {
 	caching := opt.Cache != nil && planKey != ""
-	key := planKey + "|graphs/" + layout
+	key := planKey + "|graphs"
 	if caching {
 		if v, ok := opt.Cache.lookup(key); ok {
 			if gs, ok := v.([]unionGraph[W]); ok {
@@ -229,9 +231,8 @@ func cachedGraphs[W any](opt Options, planKey, layout string, build func() ([]un
 }
 
 // unionGraph is one built member of a T-DP union: the graph plus the index
-// of the decomposition tree it enumerates (shards of one tree share it), and
-// the graph's size figures, taken once at build time so that cache hits can
-// report them too.
+// of the decomposition tree it enumerates, and the graph's size figures,
+// taken once at build time so that cache hits can report them too.
 type unionGraph[W any] struct {
 	g    *dpgraph.Graph[W]
 	tree int
@@ -241,10 +242,10 @@ type unionGraph[W any] struct {
 }
 
 // buildGraph runs dpgraph.Build and the bottom-up pass (over workers
-// goroutines) for one tree or shard, under a span called name with one child
-// span per phase: "graph-build" and "bottom-up", the two the benchmark times.
-func buildGraph[W any](d dioid.Dioid[W], inputs []dpgraph.StageInput[W], outVars []string, tree, workers int, tr *obs.Trace, parent obs.SpanID, name string) (unionGraph[W], error) {
-	sp := tr.BeginChild(parent, name)
+// goroutines) for one tree, under a span "tree-<tree>" with one child span
+// per phase: "graph-build" and "bottom-up", the two the benchmark times.
+func buildGraph[W any](d dioid.Dioid[W], inputs []dpgraph.StageInput[W], outVars []string, tree, workers int, tr *obs.Trace, parent obs.SpanID) (unionGraph[W], error) {
+	sp := tr.BeginChild(parent, fmt.Sprintf("tree-%d", tree))
 	defer tr.End(sp)
 	phase := tr.BeginChild(sp, "graph-build")
 	g, err := dpgraph.Build[W](d, inputs, outVars)
@@ -261,8 +262,8 @@ func buildGraph[W any](d dioid.Dioid[W], inputs []dpgraph.StageInput[W], outVars
 }
 
 // traceGraphs puts the state-space size of a query's graphs on the trace:
-// states, groups and resident bytes summed over its trees and shards, and the
-// largest choice set among them.
+// states, groups and resident bytes summed over its trees, and the largest
+// choice set among them.
 func traceGraphs[W any](tr *obs.Trace, graphs []unionGraph[W]) {
 	if tr == nil {
 		return

@@ -50,6 +50,22 @@ func TestCacheHitsAndSharing(t *testing.T) {
 	}
 }
 
+// TestCacheGraphsSharedAcrossParallelism: the graphs do not depend on the
+// parallelism, so a p=4 session after a p=1 one finds both the plan and the
+// graphs and adds no entry.
+func TestCacheGraphsSharedAcrossParallelism(t *testing.T) {
+	q, db := pathDB(t, 4, 40, 3, 7)
+	cache := engine.NewCache(0)
+	ref := testkit.CollectOpt(t, db, q, dioid.Tropical{}, core.Take2, engine.Options{Parallelism: 1, Cache: cache})
+	before := cache.Stats()
+	got := testkit.CollectOpt(t, db, q, dioid.Tropical{}, core.Take2, engine.Options{Parallelism: 4, Cache: cache})
+	testkit.CompareRanked(t, "p=4 over p=1's graphs", dioid.Tropical{}, got, ref)
+	after := cache.Stats()
+	if after.Entries != before.Entries || after.Misses != before.Misses || after.Hits != before.Hits+2 {
+		t.Fatalf("stats %+v after the p=1 session, %+v after the p=4 one: want two hits (plan, graphs) and nothing else", before, after)
+	}
+}
+
 // TestCacheInvalidationOnRowAdd mutates a relation after a cached Enumerate
 // and asserts the next call observes the new rows, differentially against an
 // uncached engine.

@@ -52,11 +52,12 @@ type Options struct {
 	// not need it).
 	Dedup bool
 	// Parallelism is the worker count for the bottom-up DP phase and the
-	// shard count for enumeration: each T-DP tree's first unpruned choice set
-	// is partitioned into up to Parallelism shards whose ranked streams merge
-	// through a loser tree that preserves the global weight order. 0 (the
-	// zero value) means GOMAXPROCS; 1 selects the fully serial path with no
-	// extra goroutines. Iterators built with Parallelism > 1 hold producer
+	// shard count for enumeration: each T-DP tree's graph is built once, and
+	// the choice set of its first unpruned root child is partitioned into up
+	// to Parallelism read-only views whose ranked streams merge through a
+	// loser tree that preserves the global weight order. 0 (the zero value)
+	// means GOMAXPROCS; 1 selects the fully serial path with no extra
+	// goroutines. Iterators built with Parallelism > 1 hold producer
 	// goroutines — call Iterator.Close when abandoning them before
 	// exhaustion.
 	Parallelism int
@@ -155,8 +156,9 @@ type Iterator[W any] struct {
 	// Trees reports how many T-DP problems the query decomposed into
 	// (1 for acyclic queries, ℓ+1 for ℓ-cycles).
 	Trees int
-	// Shards is the number of independent ranked streams the parallel layer
-	// merges (0 on the serial path).
+	// Shards is the number of nonempty graph views (dpgraph.Graph.Shards)
+	// whose ranked streams the parallel merge combines, summed over the
+	// union's trees (0 on the serial path).
 	Shards int
 	// Plan describes the chosen decomposition route.
 	Plan   *PlanInfo
@@ -360,19 +362,18 @@ func ghdPlanInfo(plan *hypertree.Plan, trees int) *PlanInfo {
 
 // EnumerateUnion runs the UT-DP framework (Section 5.2) over an arbitrary
 // union of T-DP stage-input trees — the hook for plugging in any
-// decomposition, as the paper's framework promises. With an effective
-// parallelism above 1 each tree is additionally sharded and the union runs
-// through the parallel loser-tree merge, so every decomposition — including
-// the GHD route — parallelizes through this single seam.
+// decomposition, as the paper's framework promises. Each tree's graph is
+// built once, whatever the parallelism. With an effective parallelism p above
+// 1 every graph is split into up to p views (dpgraph.Graph.Shards) whose
+// enumerators feed the parallel loser-tree merge, so every decomposition —
+// including the GHD route — parallelizes through this single seam.
 func EnumerateUnion[W any](d dioid.Dioid[W], trees [][]dpgraph.StageInput[W], outVars []string, alg core.Algorithm, opt Options) (*Iterator[W], error) {
-	if p := opt.parallelism(); p > 1 {
-		return enumerateParallel[W](d, trees, outVars, alg, opt, p)
-	}
+	p := opt.parallelism()
 	buildSpan := opt.Tracer.Begin("build")
-	graphs, err := cachedGraphs(opt, opt.planKey, "serial", func() ([]unionGraph[W], error) {
+	graphs, err := cachedGraphs(opt, opt.planKey, func() ([]unionGraph[W], error) {
 		out := make([]unionGraph[W], 0, len(trees))
 		for i, inputs := range trees {
-			ug, err := buildGraph(d, inputs, outVars, i, 1, opt.Tracer, buildSpan, fmt.Sprintf("tree-%d", i))
+			ug, err := buildGraph(d, inputs, outVars, i, p, opt.Tracer, buildSpan)
 			if err != nil {
 				return nil, err
 			}
@@ -384,31 +385,39 @@ func EnumerateUnion[W any](d dioid.Dioid[W], trees [][]dpgraph.StageInput[W], ou
 	if err != nil {
 		return nil, err
 	}
-	// The merge span covers enumerator construction and union/dedup wiring —
-	// the serial counterpart of the parallel path's loser-tree setup, so the
-	// phase appears under the same name on both routes.
+	// The merge span covers view carving, enumerator construction and the
+	// union/merge/dedup wiring.
 	mergeSpan := opt.Tracer.Begin("merge")
 	iters := make([]core.RowIter[W], 0, len(graphs))
 	for _, ug := range graphs {
-		if ug.g.Empty() {
-			continue
+		views := []*dpgraph.Graph[W]{ug.g}
+		if p > 1 {
+			views = ug.g.Shards(p)
 		}
-		iters = append(iters, core.NewGraphIter[W](ug.g, core.New[W](ug.g, alg), ug.tree))
+		for _, v := range views {
+			if !v.Empty() {
+				iters = append(iters, core.NewGraphIter[W](v, core.New[W](v, alg), ug.tree))
+			}
+		}
 	}
-	var it core.RowIter[W]
-	switch len(iters) {
-	case 0:
-		it = emptyIter[W]{}
-	case 1:
-		it = iters[0]
+	res := &Iterator[W]{Vars: outVars, Trees: len(trees), trace: opt.Tracer, delays: opt.Tracer.DelayBuf()}
+	switch {
+	case len(iters) == 0:
+		res.it = emptyIter[W]{}
+	case p > 1:
+		m := core.NewParallelMerge[W](d, iters)
+		res.it, res.Shards, res.closer = m, len(iters), m.Close
+	case len(iters) == 1:
+		res.it = iters[0]
 	default:
-		it = core.NewUnion[W](d, iters...)
+		res.it = core.NewUnion[W](d, iters...)
 	}
 	if opt.Dedup {
-		it = core.NewDedup[W](it)
+		res.it = core.NewDedup[W](res.it)
 	}
 	opt.Tracer.End(mergeSpan)
-	return &Iterator[W]{Vars: outVars, it: it, Trees: len(trees), trace: opt.Tracer, delays: opt.Tracer.DelayBuf(), born: time.Now()}, nil
+	res.born = time.Now()
+	return res, nil
 }
 
 // annotateParallel records the parallel layout on a plan.

@@ -60,27 +60,22 @@ func TestTraceCoversPhasesSerialAndParallel(t *testing.T) {
 					t.Fatalf("span %q duration %g, want > 0", want, d)
 				}
 			}
-			unit := "tree-0"
-			if p > 1 {
-				unit = "shard-0"
-			}
-			// Each tree (or shard) names the two phases the benchmark times,
-			// as children of its own span.
+			// The tree names the two phases the benchmark times, as children
+			// of its own span, at every parallelism.
 			for _, phase := range []string{"graph-build", "bottom-up"} {
 				found := false
 				for _, sp := range s.Spans {
-					if sp.Name == phase && sp.Parent >= 0 && s.Spans[sp.Parent].Name == unit && sp.DurationSeconds >= 0 {
+					if sp.Name == phase && sp.Parent >= 0 && s.Spans[sp.Parent].Name == "tree-0" && sp.DurationSeconds >= 0 {
 						found = true
 					}
 				}
 				if !found {
-					t.Fatalf("no closed %q span under %q: %v", phase, unit, names)
+					t.Fatalf("no closed %q span under tree-0: %v", phase, names)
 				}
 			}
-			// 4 stages of 60 rows and the root, whatever the shard layout
-			// duplicates of them.
-			if got := tr.Counter("dp_states"); got < 241 {
-				t.Fatalf("dp_states = %d, want at least 241", got)
+			// 4 stages of 60 rows and the root, built once whatever p is.
+			if got := tr.Counter("dp_states"); got != 241 {
+				t.Fatalf("dp_states = %d, want 241", got)
 			}
 			for _, c := range []string{"dp_groups", "dp_largest_group", "dp_bytes"} {
 				if tr.Counter(c) <= 0 {
@@ -101,6 +96,35 @@ func TestTraceCoversPhasesSerialAndParallel(t *testing.T) {
 				t.Fatalf("trace max_queue %d != iterator %d", got, st.MaxQueueSize)
 			}
 		})
+	}
+}
+
+// TestDPCountersIndependentOfParallelism: each tree's graph is built once
+// whatever the parallelism — parallel sessions enumerate views of it — so
+// the state-space counters at p=4 equal the serial ones on every route.
+func TestDPCountersIndependentOfParallelism(t *testing.T) {
+	for route, q := range map[string]*query.CQ{
+		"acyclic":      query.PathQuery(4),
+		"simple-cycle": query.CycleQuery(4),
+		"ghd":          query.CliqueQuery(4),
+	} {
+		db := dataset.Uniform(len(q.Atoms), 60, 1)
+		counters := func(p int) [2]int64 {
+			tr := obs.NewTrace()
+			it, err := Enumerate[float64](db, q, dioid.Tropical{}, core.Take2, Options{Parallelism: p, Tracer: tr})
+			if err != nil {
+				t.Fatal(err)
+			}
+			it.Close()
+			if it.Plan.Route != route {
+				t.Fatalf("%s: route %s, want %s", q.Name, it.Plan.Route, route)
+			}
+			return [2]int64{tr.Counter("dp_states"), tr.Counter("dp_bytes")}
+		}
+		serial, parallel := counters(1), counters(4)
+		if serial[0] <= 0 || serial != parallel {
+			t.Fatalf("%s: (dp_states, dp_bytes) = %v at p=1, %v at p=4", route, serial, parallel)
+		}
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package obs is the instrumentation layer of the repository: a
 // dependency-free metric registry (atomic counters, callback gauges, and
 // log-bucketed latency histograms with quantile snapshots) plus a per-query
-// Trace that records phase spans (plan compile, DP build per shard, merge
+// Trace that records phase spans (plan compile, DP build per tree, merge
 // setup, first result) and the enumerator memory counters behind the paper's
 // MEM(k) analysis.
 //

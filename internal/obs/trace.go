@@ -13,10 +13,9 @@ import (
 // counters for the enumerator memory statistics (candidates inserted, queue
 // high-water mark) the paper's MEM(k) analysis is about.
 //
-// All methods are safe for concurrent use — shard builders record sibling
-// spans from worker goroutines — and safe on a nil receiver, which is the
-// no-op trace: code under instrumentation calls t.Begin/t.End unconditionally
-// and pays nothing when tracing is off.
+// All methods are safe for concurrent use, and safe on a nil receiver, which
+// is the no-op trace: code under instrumentation calls t.Begin/t.End
+// unconditionally and pays nothing when tracing is off.
 type Trace struct {
 	start time.Time
 

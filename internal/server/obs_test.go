@@ -87,8 +87,9 @@ func TestSessionStatsEndToEnd(t *testing.T) {
 			t.Fatalf("phase %q duration %v, want > 0", name, p.DurationSeconds)
 		}
 	}
-	// Parallel sessions record one child span per shard under the build span.
-	findPhase(t, stats.Phases, "shard-0")
+	// Parallel sessions build each tree once, under its own span, as serial
+	// ones do.
+	findPhase(t, stats.Phases, "tree-0")
 	if stats.Delay == nil {
 		t.Fatal("delay stats missing after a drained session")
 	}

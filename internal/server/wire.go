@@ -92,10 +92,11 @@ type QueryRequest struct {
 	// Dedup filters consecutive duplicate rows.
 	Dedup bool `json:"dedup,omitempty"`
 	// Parallelism requests a sharded parallel enumeration for the session:
-	// 0 (default) runs serially, higher values shard the DP build and ranked
-	// merge across that many workers, clamped to the server's per-session cap
-	// (see Server.MaxParallelism). The response plan reports the resolved
-	// shard count.
+	// 0 (default) runs serially, higher values spread the bottom-up pass and
+	// the ranked enumeration (over views of the one DP graph, merged in rank
+	// order) across that many workers, clamped to the server's per-session
+	// cap (see Server.MaxParallelism). The response plan reports the
+	// resolved shard count.
 	Parallelism int `json:"parallelism,omitempty"`
 }
 
@@ -227,7 +228,7 @@ type SessionStatsResponse struct {
 	// sessions once drained.
 	CandidatesInserted int `json:"candidates_inserted"`
 	MaxQueueSize       int `json:"max_queue_size"`
-	// Phases is the span tree (compile, build with per-shard children, merge,
+	// Phases is the span tree (compile, build with per-tree children, merge,
 	// first-next). Parent indexes Phases; -1 marks roots. A negative duration
 	// marks a span still open at snapshot time.
 	Phases []PhaseSpan `json:"phases,omitempty"`
