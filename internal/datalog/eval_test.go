@@ -254,6 +254,28 @@ func TestConstantTypeMismatch(t *testing.T) {
 	}
 }
 
+// A rule reading R(_, y) derives y's type from the column `_` skips to, so
+// p comes out string-typed and the goal decodes names, not codes.
+func TestWildcardDerivesColumnType(t *testing.T) {
+	db := relation.NewDB()
+	people, err := db.NewDerived("people", []string{"id", "name"}, []relation.Type{relation.TypeInt64, relation.TypeString})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, name := range []string{"alice", "bob"} {
+		if _, err := people.AddTyped(float64(i+1), int64(i), name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db.AddRelation(people)
+	rows, _ := drainProgram(t, db, `
+p(y) :- people(_, y).
+?- p(y).`)
+	if len(rows) != 2 || rows[0][0] != "alice" || rows[1][0] != "bob" {
+		t.Fatalf("rows %v, want [[alice] [bob]]", rows)
+	}
+}
+
 func TestNegationEval(t *testing.T) {
 	db := baseDB(
 		binRel("edge", [3]float64{0, 1, 1}, [3]float64{0, 2, 2}, [3]float64{1, 2, 3}, [3]float64{2, 0, 4}),

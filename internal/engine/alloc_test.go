@@ -57,33 +57,27 @@ func TestSteadyStateAllocsPerNext(t *testing.T) {
 	}
 }
 
-// warmUnionAllocs is what opening a serial session over a warm cache — the
-// graphs found, the enumerator and row iterator built — allocated at the
-// commit before the parallel path came to share the serial path's graphs:
-// the parallel rewiring must not make the serial path dearer. It is taken
-// below the plan lookup, whose cache key boxes the database's id and so
-// allocates once more when the id reaches 256.
-const warmUnionAllocs = 15
+// warmEnumerateAllocs is what a whole Enumerate call opening a serial 4-path
+// session over a warm cache allocates: the plan key, the plan and graph
+// lookups, the enumerator and the row iterator. Per-plan work (the typed
+// schema) must stay behind the plan lookup, and the key's allocations must
+// not depend on the database's id or version.
+const warmEnumerateAllocs = 52
 
 func TestWarmEnumerateAllocs(t *testing.T) {
 	db := dataset.Uniform(4, 300, 1)
-	d := dioid.Tropical{}
+	q := query.PathQuery(4)
 	opt := Options{Parallelism: 1, Cache: NewCache(0)}
-	prep, key, _, err := prepare[float64](db, query.PathQuery(4), d, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt.planKey = key
 	open := func() {
-		it, err := EnumerateUnion[float64](d, prep.trees, prep.outVars, core.Take2, opt)
+		it, err := Enumerate[float64](db, q, dioid.Tropical{}, core.Take2, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		it.Close()
 	}
 	open() // fill the cache
-	if got := testing.AllocsPerRun(50, open); got != warmUnionAllocs {
-		t.Fatalf("a warm serial session allocates %v objects, want %d", got, warmUnionAllocs)
+	if got := testing.AllocsPerRun(50, open); got != warmEnumerateAllocs {
+		t.Fatalf("a warm serial Enumerate call allocates %v objects, want %d", got, warmEnumerateAllocs)
 	}
 }
 

@@ -6,8 +6,8 @@ package engine
 //
 //   - the compiled plan (route selection plus the materialized
 //     dpgraph.StageInput trees — projection dedup, cycle bag
-//     materialization, GHD bag joins), keyed by
-//     (db identity, db version, query, dioid, semantics);
+//     materialization, GHD bag joins — and the typed output schema), keyed
+//     by (db identity, db version, query, dioid, semantics);
 //   - the built, bottom-upped DP graphs, under the plan's key alone: the
 //     graph does not depend on the parallelism (BottomUpP computes the same
 //     graph over any worker count, and parallel sessions enumerate views of
@@ -22,6 +22,7 @@ package engine
 import (
 	"container/list"
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -162,53 +163,81 @@ func (c *Cache) GetOrBuild(key string, build func() (any, error)) (v any, hit bo
 // planCacheKey identifies a compiled plan: the database instance and
 // version pin the data, the query string the shape, and the dioid (its
 // concrete type including parameters, which also encodes the weight type W)
-// plus the projection semantics pin the lifted weights. The algorithm and
-// parallelism are deliberately absent — they act downstream of the built
-// graphs (enumerator choice, graph views).
+// plus the projection semantics pin the lifted weights. Full CQs ignore the
+// semantics, so their key normalizes it to AllWeights: one entry serves
+// either. The algorithm and parallelism are deliberately absent — they act
+// downstream of the built graphs (enumerator choice, graph views).
 func planCacheKey[W any](db *relation.DB, q *query.CQ, d dioid.Dioid[W], sem Semantics) string {
-	return fmt.Sprintf("db=%d.%d|q=%s|d=%T%+v|sem=%d", db.ID(), db.Version(), q.String(), d, d, sem)
+	if q.IsFull() {
+		sem = AllWeights
+	}
+	// Appending the numbers keeps the key's allocations independent of their
+	// size (boxing an integer for fmt allocates from 256 on).
+	b := make([]byte, 0, 256)
+	b = append(b, "db="...)
+	b = strconv.AppendUint(b, db.ID(), 10)
+	b = append(b, '.')
+	b = strconv.AppendUint(b, db.Version(), 10)
+	b = append(b, "|q="...)
+	b = append(b, q.String()...)
+	b = fmt.Appendf(b, "|d=%T%+v|sem=", d, d)
+	b = strconv.AppendInt(b, int64(sem), 10)
+	return string(b)
 }
 
 // prepared is one compiled plan: the immutable stage-input trees of the
-// chosen decomposition route plus the plan description. Cached instances
-// are shared between sessions, so nothing reachable from here may be
-// mutated; dpgraph.Build only reads the inputs.
+// chosen decomposition route, the plan description, and the typed view of
+// the output schema. Cached instances are shared between sessions, so
+// nothing reachable from here may be mutated; dpgraph.Build only reads the
+// inputs, and iterators share types and dicts read-only.
 type prepared[W any] struct {
 	trees   [][]dpgraph.StageInput[W]
 	outVars []string
 	// plan is the PlanInfo skeleton (route, width, bags); Enumerate copies
 	// it before stamping per-iterator fields (trees, shards, parallelism).
 	plan PlanInfo
+	// types and dicts are the Iterator's Types and decode dictionaries per
+	// output variable (typedSchema), nil for untyped schemas.
+	types []relation.Type
+	dicts []*relation.Dictionary
 }
 
-// prepare returns the compiled plan for (db, q, d, semantics), consulting
-// opt.Cache when set. The returned key is the plan cache key ("" when
-// caching is off); graph-level memoization derives its keys from it. hit
+// prepare is where a query becomes a plan: route selection and lowering
+// (compile) plus the typed output schema, consulting opt.Cache when set.
+// Every entry point — Enumerate, CountResults, and through Enumerate
+// BooleanQuery — goes through it. The returned key is the plan cache key
+// ("" when caching is off); cachedGraphs derives its key from it. hit
 // reports whether the plan came out of the cache (always false without one).
 func prepare[W any](db *relation.DB, q *query.CQ, d dioid.Dioid[W], opt Options) (p *prepared[W], key string, hit bool, err error) {
-	if opt.Cache == nil {
-		p, err = compile[W](db, q, d, opt)
-		return p, "", false, err
-	}
-	key = planCacheKey(db, q, d, opt.Semantics)
-	if v, ok := opt.Cache.lookup(key + "|plan"); ok {
-		if p, ok := v.(*prepared[W]); ok {
-			return p, key, true, nil
+	if opt.Cache != nil {
+		key = planCacheKey(db, q, d, opt.Semantics)
+		if v, ok := opt.Cache.lookup(key + "|plan"); ok {
+			if p, ok := v.(*prepared[W]); ok {
+				return p, key, true, nil
+			}
 		}
 	}
-	p, err = compile[W](db, q, d, opt)
-	if err != nil {
+	if p, err = compile[W](db, q, d, opt.Semantics); err != nil {
 		return nil, "", false, err
 	}
-	opt.Cache.store(key+"|plan", p)
+	if p.types, p.dicts, err = typedSchema(db, q, p.outVars); err != nil {
+		return nil, "", false, err
+	}
+	if key != "" {
+		opt.Cache.store(key+"|plan", p)
+	}
 	return p, key, false, nil
 }
 
-// cachedGraphs memoizes the build+bottom-up of a plan's trees. build must
-// return graphs that are never mutated afterwards (dpgraph graphs are
-// read-only once BottomUp has run — all enumerator state lives in package
-// core's per-enumerator structures).
-func cachedGraphs[W any](opt Options, planKey string, build func() ([]unionGraph[W], error)) ([]unionGraph[W], error) {
+// cachedGraphs is the graph step every entry point shares: it returns the
+// built, bottom-upped DP graphs of a plan's trees, one per tree, under the
+// "build" span — from opt.Cache under planKey when both are set, else built
+// here (and then stored). The graphs are never mutated afterwards (dpgraph
+// graphs are read-only once BottomUp has run — all enumerator state lives in
+// package core's per-enumerator structures).
+func cachedGraphs[W any](d dioid.Dioid[W], trees [][]dpgraph.StageInput[W], outVars []string, planKey string, opt Options) ([]unionGraph[W], error) {
+	sp := opt.Tracer.Begin("build")
+	defer opt.Tracer.End(sp)
 	caching := opt.Cache != nil && planKey != ""
 	key := planKey + "|graphs"
 	if caching {
@@ -219,9 +248,13 @@ func cachedGraphs[W any](opt Options, planKey string, build func() ([]unionGraph
 			}
 		}
 	}
-	gs, err := build()
-	if err != nil {
-		return nil, err
+	gs := make([]unionGraph[W], 0, len(trees))
+	for i, inputs := range trees {
+		ug, err := buildGraph(d, inputs, outVars, i, opt.parallelism(), opt.Tracer, sp)
+		if err != nil {
+			return nil, err
+		}
+		gs = append(gs, ug)
 	}
 	if caching {
 		opt.Cache.store(key, gs)

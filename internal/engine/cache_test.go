@@ -184,6 +184,23 @@ func TestCacheKeySeparation(t *testing.T) {
 	testkit.CompareRanked(t, "star not poisoned", dioid.Tropical{}, star, wantStar)
 }
 
+// TestCacheFullQueryIgnoresSemantics: Semantics only shapes projections, so a
+// full CQ opened under MinWeight after AllWeights finds the same plan and
+// graphs — two hits, no new entry.
+func TestCacheFullQueryIgnoresSemantics(t *testing.T) {
+	q, db := pathDB(t, 4, 30, 3, 8)
+	cache := engine.NewCache(0)
+	ref := testkit.CollectOpt(t, db, q, dioid.Tropical{}, core.Take2, engine.Options{Parallelism: 1, Cache: cache})
+	before := cache.Stats()
+	got := testkit.CollectOpt(t, db, q, dioid.Tropical{}, core.Take2,
+		engine.Options{Parallelism: 1, Cache: cache, Semantics: engine.MinWeight})
+	testkit.CompareRanked(t, "MinWeight over AllWeights' plan", dioid.Tropical{}, got, ref)
+	after := cache.Stats()
+	if after.Entries != before.Entries || after.Misses != before.Misses || after.Hits != before.Hits+2 {
+		t.Fatalf("stats %+v after AllWeights, %+v after MinWeight: want two hits and no new entry", before, after)
+	}
+}
+
 // TestCacheLRUEviction keeps the cache tiny and cycles query shapes through
 // it: evicted entries must recompile correctly, and the entry count must
 // respect the bound.

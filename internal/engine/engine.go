@@ -73,10 +73,6 @@ type Options struct {
 	// the trace. Nil (the default) keeps every instrumented path at a single
 	// pointer comparison — the zero-cost off switch.
 	Tracer *obs.Trace
-
-	// planKey is the resolved compiled-plan cache key for this invocation;
-	// Enumerate sets it so EnumerateUnion can derive graph-layer keys.
-	planKey string
 }
 
 // parallelism resolves the effective worker count.
@@ -148,6 +144,7 @@ type Iterator[W any] struct {
 	// carry dense int64 codes, and Types says what TypedVals decodes them to.
 	// Nil for untyped iterators — all-int64 schemas and iterators built
 	// without a database (EnumerateUnion) — matching Typed() == false.
+	// Iterators over one cached plan share it: treat it as read-only.
 	Types []relation.Type
 	// dicts resolves encoded columns per output variable; nil entries (and a
 	// nil slice) mean the column's codes are its values.
@@ -276,28 +273,27 @@ func Enumerate[W any](db *relation.DB, q *query.CQ, d dioid.Dioid[W], alg core.A
 	} else {
 		opt.Tracer.SetCounter("plan_cache_hit", 0)
 	}
-	bindings, err := typedSchema(db, q, prep.outVars)
-	if err != nil {
-		return nil, err
-	}
-	opt.planKey = planKey
-	it, err := EnumerateUnion[W](d, prep.trees, prep.outVars, alg, opt)
+	it, err := enumerateUnion(d, prep.trees, prep.outVars, planKey, alg, opt)
 	if err != nil {
 		return nil, fmt.Errorf("query %s: %s plan (width %d) did not lower: %w", q.Name, prep.plan.Route, prep.plan.Width, err)
 	}
-	bindTypes(it, bindings)
+	it.Types, it.dicts = prep.types, prep.dicts
 	info := prep.plan // copy the cached skeleton before stamping per-run fields
 	info.Trees = it.Trees
-	it.Plan = annotateParallel(&info, it, opt)
+	if it.Shards > 0 {
+		info.Shards, info.Parallelism = it.Shards, opt.parallelism()
+	}
+	it.Plan = &info
 	return it, nil
 }
 
 // compile resolves the decomposition route for q and materializes its
 // stage-input trees — the entire preprocessing phase up to (but excluding)
-// the DP graph build. Everything it returns is immutable and cacheable.
-func compile[W any](db *relation.DB, q *query.CQ, d dioid.Dioid[W], opt Options) (*prepared[W], error) {
+// the DP graph build, and the one place a route is chosen. Everything it
+// returns is immutable and cacheable.
+func compile[W any](db *relation.DB, q *query.CQ, d dioid.Dioid[W], sem Semantics) (*prepared[W], error) {
 	if query.IsAcyclic(q) {
-		return compileAcyclic(db, q, d, opt)
+		return compileAcyclic(db, q, d, sem)
 	}
 	if !q.IsFull() {
 		return nil, fmt.Errorf("query %s: projections over cyclic queries are not supported", q.Name)
@@ -305,8 +301,21 @@ func compile[W any](db *relation.DB, q *query.CQ, d dioid.Dioid[W], opt Options)
 	shape, cycErr := decomp.DetectCycle(q)
 	if cycErr != nil {
 		// Not a simple cycle: fall back to the generalized hypertree
-		// decomposition planner, which handles any cyclic full CQ.
-		return compileGHD(db, q, d, cycErr)
+		// decomposition planner, which handles any cyclic full CQ. Errors
+		// name the fallback and its computed width so callers can see which
+		// decomposition was attempted.
+		plan, err := hypertree.Decompose(q)
+		if err != nil {
+			return nil, fmt.Errorf("cyclic query %s is not a simple cycle (%v) and the GHD planner fallback failed: %w", q.Name, cycErr, err)
+		}
+		inputs, err := hypertree.Materialize[W](d, db, plan)
+		if err != nil {
+			return nil, fmt.Errorf("cyclic query %s is not a simple cycle (%v); its GHD fallback plan (width %d, %d bags) failed: %w",
+				q.Name, cycErr, plan.Width, len(plan.Bags), err)
+		}
+		info := ghdPlanInfo(plan)
+		info.Predicates = q.NumPreds()
+		return &prepared[W]{trees: [][]dpgraph.StageInput[W]{inputs}, outVars: q.Vars(), plan: info}, nil
 	}
 	trees, err := decomp.Decompose[W](d, db, shape)
 	if err != nil {
@@ -323,30 +332,8 @@ func compile[W any](db *relation.DB, q *query.CQ, d dioid.Dioid[W], opt Options)
 	}, nil
 }
 
-// compileGHD runs the planner fallback for cyclic queries that are not
-// simple cycles. Errors name the fallback and its computed width so callers
-// can see which decomposition was attempted.
-func compileGHD[W any](db *relation.DB, q *query.CQ, d dioid.Dioid[W], cycErr error) (*prepared[W], error) {
-	plan, err := hypertree.Decompose(q)
-	if err != nil {
-		return nil, fmt.Errorf("cyclic query %s is not a simple cycle (%v) and the GHD planner fallback failed: %w", q.Name, cycErr, err)
-	}
-	inputs, err := hypertree.Materialize[W](d, db, plan)
-	if err != nil {
-		return nil, fmt.Errorf("cyclic query %s is not a simple cycle (%v); its GHD fallback plan (width %d, %d bags) failed: %w",
-			q.Name, cycErr, plan.Width, len(plan.Bags), err)
-	}
-	info := ghdPlanInfo(plan, 0)
-	info.Predicates = q.NumPreds()
-	return &prepared[W]{
-		trees:   [][]dpgraph.StageInput[W]{inputs},
-		outVars: q.Vars(),
-		plan:    *info,
-	}, nil
-}
-
-func ghdPlanInfo(plan *hypertree.Plan, trees int) *PlanInfo {
-	info := &PlanInfo{Route: "ghd", Width: plan.Width, Trees: trees, Bags: make([]BagInfo, len(plan.Bags))}
+func ghdPlanInfo(plan *hypertree.Plan) PlanInfo {
+	info := PlanInfo{Route: "ghd", Width: plan.Width, Bags: make([]BagInfo, len(plan.Bags))}
 	for i, b := range plan.Bags {
 		bi := BagInfo{Vars: b.Vars, Parent: b.Parent}
 		for _, ai := range b.Cover {
@@ -366,28 +353,23 @@ func ghdPlanInfo(plan *hypertree.Plan, trees int) *PlanInfo {
 // built once, whatever the parallelism. With an effective parallelism p above
 // 1 every graph is split into up to p views (dpgraph.Graph.Shards) whose
 // enumerators feed the parallel loser-tree merge, so every decomposition —
-// including the GHD route — parallelizes through this single seam.
+// including the GHD route — parallelizes through this single seam. The graphs
+// are never cached: there is no plan to key them by.
 func EnumerateUnion[W any](d dioid.Dioid[W], trees [][]dpgraph.StageInput[W], outVars []string, alg core.Algorithm, opt Options) (*Iterator[W], error) {
-	p := opt.parallelism()
-	buildSpan := opt.Tracer.Begin("build")
-	graphs, err := cachedGraphs(opt, opt.planKey, func() ([]unionGraph[W], error) {
-		out := make([]unionGraph[W], 0, len(trees))
-		for i, inputs := range trees {
-			ug, err := buildGraph(d, inputs, outVars, i, p, opt.Tracer, buildSpan)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, ug)
-		}
-		return out, nil
-	})
-	opt.Tracer.End(buildSpan)
+	return enumerateUnion(d, trees, outVars, "", alg, opt)
+}
+
+// enumerateUnion is EnumerateUnion over the graphs cached under planKey
+// (none when it is empty).
+func enumerateUnion[W any](d dioid.Dioid[W], trees [][]dpgraph.StageInput[W], outVars []string, planKey string, alg core.Algorithm, opt Options) (*Iterator[W], error) {
+	graphs, err := cachedGraphs(d, trees, outVars, planKey, opt)
 	if err != nil {
 		return nil, err
 	}
 	// The merge span covers view carving, enumerator construction and the
 	// union/merge/dedup wiring.
 	mergeSpan := opt.Tracer.Begin("merge")
+	p := opt.parallelism()
 	iters := make([]core.RowIter[W], 0, len(graphs))
 	for _, ug := range graphs {
 		views := []*dpgraph.Graph[W]{ug.g}
@@ -420,19 +402,10 @@ func EnumerateUnion[W any](d dioid.Dioid[W], trees [][]dpgraph.StageInput[W], ou
 	return res, nil
 }
 
-// annotateParallel records the parallel layout on a plan.
-func annotateParallel[W any](plan *PlanInfo, it *Iterator[W], opt Options) *PlanInfo {
-	if it.Shards > 0 {
-		plan.Shards = it.Shards
-		plan.Parallelism = opt.parallelism()
-	}
-	return plan
-}
-
-func compileAcyclic[W any](db *relation.DB, q *query.CQ, d dioid.Dioid[W], opt Options) (*prepared[W], error) {
+func compileAcyclic[W any](db *relation.DB, q *query.CQ, d dioid.Dioid[W], sem Semantics) (*prepared[W], error) {
 	var plan *query.Plan
 	var err error
-	minWeight := !q.IsFull() && opt.Semantics == MinWeight
+	minWeight := !q.IsFull() && sem == MinWeight
 	if minWeight {
 		plan, err = query.ConnexPlan(q)
 	} else {
@@ -573,6 +546,35 @@ func varList(vs []string) string {
 type emptyIter[W any] struct{}
 
 func (emptyIter[W]) Next() (core.Row[W], bool) { return core.Row[W]{}, false }
+
+// CountResults returns the exact output size |out| of q without
+// materializing results: it compiles q exactly as Enumerate does (the same
+// route choice and lowering, so predicates are pushed down and a projection
+// counts its full-join witnesses, as AllWeights enumerates them), builds the
+// graphs serially, and sums the counting recurrence over the reduced DP state
+// space of each tree. Like Enumerate it rejects projections over cyclic
+// queries. The experiment harness uses it to size panels and to skip Batch
+// when the full output would not fit in memory — mirroring the paper's
+// observation that Batch runs out of memory on inputs any-k handles easily.
+// Cyclic routes pay their decomposition's bag-materialization cost (bounded
+// by n^width for GHD plans — the same preprocessing any enumeration of the
+// query performs), not the output size; only the counting itself is free.
+func CountResults(db *relation.DB, q *query.CQ) (float64, error) {
+	d, opt := dioid.Tropical{}, Options{Parallelism: 1}
+	prep, _, _, err := prepare[float64](db, q, d, opt)
+	if err != nil {
+		return 0, err
+	}
+	graphs, err := cachedGraphs[float64](d, prep.trees, prep.outVars, "", opt)
+	if err != nil {
+		return 0, err
+	}
+	total := 0.0
+	for _, ug := range graphs {
+		total += core.Count(ug.g)
+	}
+	return total, nil
+}
 
 // BooleanQuery answers the Boolean version QB of q (Section 6.4): it runs
 // any-k under the Boolean dioid with the inverted order and reports whether

@@ -552,20 +552,47 @@ func TestGHDErrorNamesPlanner(t *testing.T) {
 	}
 }
 
-func TestCountResultsGHD(t *testing.T) {
+// TestCountResultsRoutes: CountResults compiles through Enumerate's seam, so
+// on every route — predicates and AllWeights projections included — it
+// counts exactly the rows a serial Batch drain returns.
+func TestCountResultsRoutes(t *testing.T) {
 	r := rand.New(rand.NewSource(66))
-	for _, q := range ghdQueries() {
-		db := intDB(r, q, 20, 4)
-		want, err := join.GenericJoin(db, q)
+	queries := ghdQueries()
+	for _, src := range []string{
+		"Q(x1,x2,x3) :- R1(x1,x2), R2(x2,x3)",
+		"Q(x1,x2,x3) :- R1(x1,x2 | x1 > 0), R2(x2,x3)",
+		"Q(x1) :- R1(x1,x2), R2(x2,x3)",
+		"Q(a,b,c,d) :- R1(a,b), R2(b,c), R3(c,d), R4(d,a)",
+		"Q(a,b,c,d) :- R1(a,b | a > 0), R2(b,c), R3(c,d), R4(d,a)",
+	} {
+		q, err := query.Parse(src)
 		if err != nil {
 			t.Fatal(err)
 		}
+		queries = append(queries, q)
+	}
+	for _, q := range queries {
+		db := intDB(r, q, 20, 4)
+		it, err := Enumerate[float64](db, q, dioid.Tropical{}, core.Batch, Options{Parallelism: 1})
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		want := len(it.Drain(0))
 		n, err := CountResults(db, q)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", q, err)
 		}
-		if int(n) != len(want) {
-			t.Fatalf("%s: CountResults=%v want %d", q.Name, n, len(want))
+		if int(n) != want {
+			t.Fatalf("%s: CountResults=%v, Batch drained %d rows", q, n, want)
 		}
+	}
+	// A projection over a cycle is rejected, as Enumerate rejects it, not
+	// counted as its full join.
+	q, err := query.Parse("Q(a) :- R1(a,b), R2(b,c), R3(c,d), R4(d,a)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := CountResults(intDB(r, q, 20, 4), q); err == nil || !strings.Contains(err.Error(), "projections over cyclic queries are not supported") {
+		t.Fatalf("cyclic projection: err = %v", err)
 	}
 }

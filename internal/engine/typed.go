@@ -2,7 +2,7 @@ package engine
 
 // The typed row view: the enumeration core ranks and joins dense int64 codes
 // (relation.Value) and never learns what they mean; this file is where the
-// logical schema comes back. At Enumerate time every query variable is
+// logical schema comes back. Once per compiled plan every query variable is
 // resolved to the logical type of the columns it binds — validated to agree
 // across atoms, since an equality join between, say, a string-coded column
 // and a raw int64 column would compare codes of unrelated domains — and the
@@ -25,17 +25,20 @@ type varBinding struct {
 
 // typedSchema resolves the logical type of every output variable of q over
 // db, validating that all columns a variable joins agree on type and (for
-// encoded types) on dictionary. It returns one binding per outVars entry.
-// Queries over untyped relations resolve to all-int64 bindings with nil
-// dictionaries — the identity decode.
-func typedSchema(db *relation.DB, q *query.CQ, outVars []string) ([]varBinding, error) {
+// encoded types) on dictionary. A variable's column is the one it binds
+// (Atom.VarCol), not its position among the atom's variables: `_` skips
+// columns. It returns the Types and dictionaries of an Iterator over outVars,
+// both nil when no output column is dictionary-encoded — the identity decode,
+// so Typed() and Types == nil agree on what an untyped session is.
+func typedSchema(db *relation.DB, q *query.CQ, outVars []string) ([]relation.Type, []*relation.Dictionary, error) {
 	byVar := map[string]varBinding{}
 	for _, a := range q.Atoms {
 		rel := db.Relation(a.Rel)
 		if rel == nil {
-			return nil, fmt.Errorf("relation %s not found", a.Rel)
+			return nil, nil, fmt.Errorf("relation %s not found", a.Rel)
 		}
-		for c, v := range a.Vars {
+		for i, v := range a.Vars {
+			c := a.VarCol(i)
 			if c >= rel.Arity() {
 				// Arity mismatches surface as compile errors; skip here.
 				continue
@@ -50,42 +53,29 @@ func typedSchema(db *relation.DB, q *query.CQ, outVars []string) ([]varBinding, 
 				continue
 			}
 			if prev.typ != b.typ {
-				return nil, fmt.Errorf("query %s: variable %s joins a %s column with a %s column (%s) — a join across logical types can never match",
+				return nil, nil, fmt.Errorf("query %s: variable %s joins a %s column with a %s column (%s) — a join across logical types can never match",
 					q.Name, v, prev.typ, b.typ, a.Rel)
 			}
 			if prev.dict != b.dict {
-				return nil, fmt.Errorf("query %s: variable %s joins %s columns encoded by different dictionaries (relation %s); encode all relations of one database through db.Dict()",
+				return nil, nil, fmt.Errorf("query %s: variable %s joins %s columns encoded by different dictionaries (relation %s); encode all relations of one database through db.Dict()",
 					q.Name, v, b.typ, a.Rel)
 			}
 		}
 	}
-	out := make([]varBinding, len(outVars))
-	for i, v := range outVars {
-		out[i] = byVar[v] // zero value (int64, nil dict) for head-only vars
-	}
-	return out, nil
-}
-
-// bindTypes stamps the iterator with the typed view of its output schema.
-// Untyped (all-int64) schemas leave both Types and dicts nil, so Typed()
-// and VarTypes() == nil agree on what an untyped session is.
-func bindTypes[W any](it *Iterator[W], bindings []varBinding) {
 	typed := false
-	for _, b := range bindings {
-		if b.dict != nil {
-			typed = true
-			break
-		}
+	for _, v := range outVars {
+		typed = typed || byVar[v].dict != nil
 	}
 	if !typed {
-		return
+		return nil, nil, nil
 	}
-	it.Types = make([]relation.Type, len(bindings))
-	it.dicts = make([]*relation.Dictionary, len(bindings))
-	for i, b := range bindings {
-		it.Types[i] = b.typ
-		it.dicts[i] = b.dict
+	types := make([]relation.Type, len(outVars))
+	dicts := make([]*relation.Dictionary, len(outVars))
+	for i, v := range outVars {
+		// The zero binding (int64, nil dict) stands for head-only variables.
+		types[i], dicts[i] = byVar[v].typ, byVar[v].dict
 	}
+	return types, dicts, nil
 }
 
 // Typed reports whether any output column is dictionary-encoded — i.e.

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -138,6 +139,46 @@ func TestTypedJoinDictionaryMismatchRejected(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "dictionaries") {
 		t.Fatalf("error %q does not explain the dictionary mismatch", err)
+	}
+}
+
+// Types resolve through the column each variable binds, not its position in
+// the atom: with R(id int64, name string), R(_, y) binds y to the string
+// column, so y decodes to names and joins S's string column.
+func TestTypedResolutionFollowsAtomCols(t *testing.T) {
+	db := relation.NewDB()
+	r, err := relation.LoadCSVTyped(strings.NewReader("1,alice,1\n2,bob,2\n"), db.Dict(), "R", "id", "name")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := relation.LoadCSVTyped(strings.NewReader("alice,7,1\nbob,8,1\n"), db.Dict(), "S", "name", "n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.AddRelation(r)
+	db.AddRelation(s)
+	for _, tc := range []struct {
+		src  string
+		want [][]any
+	}{
+		{"Q(y) :- R(_, y)", [][]any{{"alice"}, {"bob"}}},
+		{"Q(y,z) :- R(_, y), S(y, z)", [][]any{{"alice", int64(7)}, {"bob", int64(8)}}},
+	} {
+		q, err := query.Parse(tc.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		it, err := Enumerate[float64](db, q, dioid.Tropical{}, core.Take2)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.src, err)
+		}
+		var got [][]any
+		for _, row := range it.Drain(0) {
+			got = append(got, it.TypedVals(row.Vals))
+		}
+		if fmt.Sprint(got) != fmt.Sprint(tc.want) {
+			t.Fatalf("%s: rows %v, want %v", tc.src, got, tc.want)
+		}
 	}
 }
 

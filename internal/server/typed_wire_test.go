@@ -95,6 +95,22 @@ func TestTypedUploadMixedColumnTypes(t *testing.T) {
 	}
 }
 
+// TestTypedWildcardColumn: a `_` that skips an int64 column must leave the
+// next variable bound to the string column after it, advertised and decoded
+// as a string on the wire.
+func TestTypedWildcardColumn(t *testing.T) {
+	_, ts := testServer(t, 16)
+	uploadCSV(t, ts.URL, "people", "R1", "id,name", "1,alice,1\n2,bob,2\n")
+	q := mustOpenQuery(t, ts.URL, QueryRequest{Dataset: "people", Datalog: "Q(y) :- R1(_, y)"})
+	if strings.Join(q.Types, ",") != "string" {
+		t.Fatalf("session types %v, want [string]", q.Types)
+	}
+	page := nextPage(t, ts.URL, q.ID, 10)
+	if len(page.Rows) != 2 || valsOf(t, page.Rows[0])[0] != "alice" || valsOf(t, page.Rows[1])[0] != "bob" {
+		t.Fatalf("page %+v, want alice then bob", page.Rows)
+	}
+}
+
 // TestInt64DatasetsKeepV1WireShape asserts byte-level compatibility: a fully
 // int64 dataset must not grow a "types" key anywhere, and vals stay plain
 // number arrays.
