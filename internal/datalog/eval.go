@@ -150,10 +150,11 @@ type negCheck struct {
 
 // lowerRule resolves r's body against db. Constants, repeated variables, and
 // `_` terms lower onto the atom itself as selection predicates / column
-// mappings (see lowerPositive) — pushed down into the scans by the engine, so
-// nothing is materialized or registered. Predicates are compiled eagerly here
-// purely to surface type errors with the rule's line number; the engine
-// recompiles them per relation at plan time (interning is idempotent).
+// mappings (query.AtomFromTerms, shared with the CQ parser) — pushed down
+// into the scans by the engine, so nothing is materialized or registered.
+// Predicates are compiled eagerly here purely to surface type errors with the
+// rule's line number; the engine recompiles them per relation at plan time
+// (interning is idempotent).
 func lowerRule(db *relation.DB, r Rule) (*loweredRule, error) {
 	lr := &loweredRule{head: r.Head}
 	for _, a := range r.Body {
@@ -172,9 +173,9 @@ func lowerRule(db *relation.DB, r Rule) (*loweredRule, error) {
 			lr.neg = append(lr.neg, nc)
 			continue
 		}
-		qa, err := lowerPositive(a)
+		qa, _, err := query.AtomFromTerms(a.Pred, a.Terms)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("line %d: %v", a.Line, err)
 		}
 		if _, err := qa.ScanPreds(rel); err != nil {
 			return nil, fmt.Errorf("line %d: %v", a.Line, err)
@@ -182,44 +183,6 @@ func lowerRule(db *relation.DB, r Rule) (*loweredRule, error) {
 		lr.pos = append(lr.pos, qa)
 	}
 	return lr, nil
-}
-
-// lowerPositive rewrites one positive body atom into a query atom: distinct
-// variables bind their columns, a repeated variable becomes an intra-atom
-// column-equality predicate, a constant becomes an equality predicate on its
-// column, and `_` leaves its column unbound and unconstrained. The identity
-// column mapping stays nil so predicate-free atoms render — and cache —
-// exactly as before the predicate layer existed.
-func lowerPositive(a Atom) (query.Atom, error) {
-	qa := query.Atom{Rel: a.Pred}
-	colOf := map[string]int{}
-	var cols []int
-	for i, t := range a.Terms {
-		if !t.IsVar() {
-			qa.Preds = append(qa.Preds, query.Pred{Col: i, Op: query.PredEq, Val: t})
-			continue
-		}
-		if t.Var == "_" {
-			continue
-		}
-		if c, ok := colOf[t.Var]; ok {
-			qa.Preds = append(qa.Preds, query.Pred{Col: c, Op: query.PredColEq, Col2: i})
-			continue
-		}
-		colOf[t.Var] = i
-		qa.Vars = append(qa.Vars, t.Var)
-		cols = append(cols, i)
-	}
-	if len(qa.Vars) == 0 {
-		return query.Atom{}, fmt.Errorf("line %d: atom %s binds no variables; at least one variable is required", a.Line, a.Pred)
-	}
-	for i, c := range cols {
-		if c != i {
-			qa.Cols = cols
-			break
-		}
-	}
-	return qa, nil
 }
 
 // lowerNegated resolves a negated atom into a membership check.

@@ -257,7 +257,7 @@ func parseBody(text string, startLine int) ([]Atom, error) {
 			advance(3)
 			trim()
 		}
-		close := closeParenAt(rest)
+		close := query.CloseParen(rest)
 		if close < 0 {
 			return nil, fmt.Errorf("line %d: unterminated atom in %q", line, strings.TrimSpace(rest))
 		}
@@ -293,22 +293,6 @@ func parseBody(text string, startLine int) ([]Atom, error) {
 		}
 	}
 	return atoms, nil
-}
-
-// closeParenAt returns the index of the first ')' outside string constants.
-func closeParenAt(s string) int {
-	inStr := false
-	for i := 0; i < len(s); i++ {
-		switch {
-		case inStr && s[i] == '\\':
-			i++
-		case s[i] == '"':
-			inStr = !inStr
-		case !inStr && s[i] == ')':
-			return i
-		}
-	}
-	return -1
 }
 
 // resolveGoal installs the program's distinguished goal rule: the directive

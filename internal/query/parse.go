@@ -98,7 +98,7 @@ func Parse(s string) (*CQ, error) {
 	var atoms []Atom
 	rest := strings.TrimSpace(body)
 	for len(rest) > 0 {
-		close := closeParen(rest)
+		close := CloseParen(rest)
 		if close < 0 {
 			return nil, fmt.Errorf("body: unterminated atom in %q", rest)
 		}
@@ -140,9 +140,10 @@ func Parse(s string) (*CQ, error) {
 	return q, nil
 }
 
-// closeParen returns the index of the first ')' in s that does not sit
-// inside a double-quoted string constant, or -1.
-func closeParen(s string) int {
+// CloseParen returns the index of the first ')' in s that does not sit
+// inside a double-quoted string constant, or -1. Exported for the Datalog
+// parser, which shares the atom grammar.
+func CloseParen(s string) int {
 	inStr := false
 	for i := 0; i < len(s); i++ {
 		switch {
@@ -194,7 +195,7 @@ func ParseBodyAtom(s string) (Atom, error) {
 	if err != nil {
 		return Atom{}, err
 	}
-	a, colOf, err := atomFromTerms(name, terms)
+	a, colOf, err := AtomFromTerms(name, terms)
 	if err != nil {
 		return Atom{}, err
 	}
@@ -213,11 +214,14 @@ func ParseBodyAtom(s string) (Atom, error) {
 	return a, nil
 }
 
-// atomFromTerms lowers an atom's term list: distinct variables bind columns,
+// AtomFromTerms lowers an atom's term list: distinct variables bind columns,
 // repeated variables become column-equality predicates, constants become
 // equality predicates, `_` skips its column. colOf maps each variable to the
-// (first) column it binds, for resolving predicate references.
-func atomFromTerms(name string, terms []Term) (Atom, map[string]int, error) {
+// (first) column it binds, for resolving predicate references. The identity
+// column mapping stays nil, so predicate-free atoms render — and cache — as
+// plain atoms. Exported for the Datalog layer, which lowers its positive
+// body atoms through it.
+func AtomFromTerms(name string, terms []Term) (Atom, map[string]int, error) {
 	a := Atom{Rel: name}
 	colOf := map[string]int{}
 	var cols []int

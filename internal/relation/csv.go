@@ -2,6 +2,8 @@ package relation
 
 import (
 	"bufio"
+	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -37,43 +39,26 @@ func sniffSep(line string) csvSep {
 }
 
 // splitFields splits a data line under sep. Comma mode splits on every comma
-// and preserves empty fields (so `1,,2,0.5` is four fields, not three — the
-// caller rejects the empty one loudly instead of silently shifting columns);
-// whitespace mode collapses runs of spaces/tabs. A line whose separators
-// disagree with sep is an error: the caller prefixes it with the line number.
-func splitFields(line string, sep csvSep) ([]string, error) {
-	switch sep {
-	case sepComma:
-		fields := strings.Split(line, ",")
-		for i := range fields {
-			fields[i] = strings.TrimSpace(fields[i])
+// into dst (reused from row to row) and preserves empty fields (so `1,,2,0.5`
+// is four fields, not three — the caller rejects the empty one loudly instead
+// of silently shifting columns); whitespace mode collapses runs of spaces/tabs. A line whose separators disagree with sep is
+// an error: the caller prefixes it with the line number.
+func splitFields(dst []string, line string, sep csvSep) ([]string, error) {
+	dst = dst[:0]
+	if sep == sepComma {
+		for {
+			i := strings.IndexByte(line, ',')
+			if i < 0 {
+				return append(dst, strings.TrimSpace(line)), nil
+			}
+			dst = append(dst, strings.TrimSpace(line[:i]))
+			line = line[i+1:]
 		}
-		return fields, nil
-	default:
-		if strings.ContainsRune(line, ',') {
-			return nil, fmt.Errorf("comma-separated row in a whitespace-separated file")
-		}
-		return strings.Fields(line), nil
 	}
-}
-
-// csvSkip reports whether a (trimmed) line carries no data.
-func csvSkip(line string) bool { return line == "" || strings.HasPrefix(line, "#") }
-
-// parseField validates one field before value parsing: empty fields (from
-// adjacent commas) are always rejected with explicit errors rather than left
-// to the number parser's less helpful ones. In strict (numeric-only) mode,
-// whitespace inside a comma-separated field is also rejected as a likely
-// mixed separator; the typed loaders are lenient there, because string
-// values like "New York" legitimately contain spaces.
-func parseField(field string, sep csvSep, strictWS bool) (string, error) {
-	if field == "" {
-		return "", fmt.Errorf("empty field")
+	if strings.ContainsRune(line, ',') {
+		return nil, fmt.Errorf("comma-separated row in a whitespace-separated file")
 	}
-	if strictWS && sep == sepComma && strings.ContainsAny(field, " \t") {
-		return "", fmt.Errorf("whitespace inside comma-separated field %q (mixed separators?)", field)
-	}
-	return field, nil
+	return strings.Fields(line), nil
 }
 
 // checkFinite rejects the floats that break the enumeration machinery,
@@ -91,148 +76,209 @@ func checkFinite(f float64) error {
 	return nil
 }
 
-// csvRow is one validated data row: its 1-based line number (for errors) and
-// its separator-checked, non-empty fields.
-type csvRow struct {
-	line   int
-	fields []string
+// maxLineBytes is the longest line, without its newline, a CSV body may hold.
+// The scan buffer starts at 64 KiB and grows towards it only for long lines.
+const maxLineBytes = 1 << 20
+
+// column accumulates one value column during the scan. While every field so
+// far is an integer in canonical form it keeps the parsed int64s in vals; from
+// the first other field on (text non-nil) it keeps the field text instead,
+// so an all-integer column costs 8 bytes a row and a string column its text.
+// Non-canonical integer spellings (`007`, `+5`, `-0`) go to text too: a
+// column that ends as string stores them verbatim, and `-0` in a float
+// column is the float -0.
+type column struct {
+	typ    Type     // the widest type any field so far needs
+	vals   []Value  // the integer prefix; the column's codes once encoded
+	text   []string // the fields after the integer prefix
+	unsafe bool     // some field is an integer a float64 would round
 }
 
-// scanRows reads every data row of a CSV body, sniffing the separator from
-// the first row and enforcing it (and the expected field count) on the rest,
-// and hands each validated row to emit — so single-pass loaders (the int64
-// paths) never hold more than one row, while the type-sniffing loader's emit
-// collects rows for its second pass. arity is the number of value columns;
-// arity < 0 infers it from the first data row (its field count minus the
-// trailing weight). All structural validation — separator mixing, field
-// counts, empty fields — happens here, so every loader shares one error
-// surface with line/column numbers. strictWS is the numeric-only loaders'
-// whitespace-inside-comma-field rejection (see parseField).
-func scanRows(r io.Reader, name string, arity int, strictWS bool, emit func(row csvRow) error) (nvals int, err error) {
+func (c *column) add(f string) {
+	if c.text == nil {
+		if v, err := strconv.ParseInt(f, 10, 64); err == nil && canonicalInt(f) {
+			c.vals = append(c.vals, v)
+			c.unsafe = c.unsafe || !IntFitsFloat64(v)
+			return
+		}
+	}
+	c.text = append(c.text, f)
+	if c.typ != TypeString {
+		c.typ = WidenType(c.typ, SniffType(f))
+		c.unsafe = c.unsafe || IntLiteralUnsafeForFloat(f)
+	}
+}
+
+// finalType is the column's logical type once every row is in: the widest
+// type its fields need, except that a float column holding an integer too
+// large to represent exactly widens to string — rounding it into a float
+// code would silently merge distinct keys.
+func (c *column) finalType() Type {
+	if c.typ == TypeFloat64 && c.unsafe {
+		return TypeString
+	}
+	return c.typ
+}
+
+// canonicalInt reports whether f, which parses as an int64, is spelled the
+// way strconv.FormatInt spells its value: no '+', no leading zero, no "-0".
+func canonicalInt(f string) bool {
+	d := strings.TrimPrefix(f, "-")
+	return f[0] != '+' && (d[0] != '0' || f == "0")
+}
+
+// LoadCSVTyped reads a weighted relation from comma- or whitespace-separated
+// text: one row per line, the value columns first and the finite float64
+// tuple weight last (NaN and ±Inf are rejected with the offending line
+// number). Lines starting with '#' and blank lines are skipped. The separator
+// is sniffed from the first data row and every later row must use the same
+// one; comma rows keep empty fields, which are rejected rather than
+// collapsed, and comma fields may contain spaces ("New York"). The schema
+// must match the number of value columns.
+//
+// Each value column's logical type is the widest its fields need (int64 ⊂
+// float64 ⊂ string, so `1` followed by `alice` makes a string column), and
+// non-int64 columns are dictionary-encoded into dict so the enumeration core
+// keeps operating on dense int64 codes. The body is read once, holding int64s
+// for integer columns and field text for the others; rows are encoded in row
+// order once every type is known. All relations of one database must share
+// its dictionary (pass db.Dict()) so joins across relations compare codes of
+// the same logical domain. Reader errors are wrapped, so callers can match
+// them with errors.As.
+func LoadCSVTyped(r io.Reader, dict *Dictionary, name string, attrs ...string) (*Relation, error) {
+	return loadCSV(r, dict, name, attrs, false)
+}
+
+// LoadCSVAutoTyped is LoadCSVTyped with the schema inferred from the data: the
+// arity is taken from the first data row (fields minus the trailing weight)
+// and the attributes are named A1..Ak. Empty fields count toward the arity —
+// `1,,2,.5` infers three value columns and then fails loudly on the empty one
+// instead of inferring a wrong arity and shifting columns.
+func LoadCSVAutoTyped(r io.Reader, dict *Dictionary, name string) (*Relation, error) {
+	return loadCSV(r, dict, name, nil, true)
+}
+
+// loadCSV is the one CSV loader: a single scan that validates every row —
+// separator, field count, empty fields, weight — and accumulates its values
+// per column, then hands the columns to encodeRows.
+func loadCSV(r io.Reader, dict *Dictionary, name string, attrs []string, infer bool) (*Relation, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	lineNo := 0
-	sep := sepUnknown
-	nvals = arity
+	sc.Buffer(make([]byte, 64<<10), maxLineBytes+1) // +1: room for the newline
+	nvals := len(attrs)
+	if infer {
+		nvals = -1
+	}
+	var (
+		lineNo  int
+		sep     = sepUnknown
+		fields  []string
+		cols    []column
+		weights []float64
+	)
 	for sc.Scan() {
 		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if csvSkip(line) {
+		b := bytes.TrimSpace(sc.Bytes())
+		if len(b) == 0 || b[0] == '#' {
 			continue
 		}
+		line := string(b)
 		if sep == sepUnknown {
 			sep = sniffSep(line)
 		}
-		fields, err := splitFields(line, sep)
-		if err != nil {
-			return 0, fmt.Errorf("%s line %d: %w", name, lineNo, err)
+		var err error
+		if fields, err = splitFields(fields, line, sep); err != nil {
+			return nil, fmt.Errorf("%s line %d: %w", name, lineNo, err)
 		}
 		if nvals < 0 {
 			if len(fields) < 2 {
-				return 0, fmt.Errorf("%s: first data row has %d fields, want at least 1 value + weight", name, len(fields))
+				return nil, fmt.Errorf("%s: first data row has %d fields, want at least 1 value + weight", name, len(fields))
 			}
 			nvals = len(fields) - 1
 		}
 		if len(fields) != nvals+1 {
-			return 0, fmt.Errorf("%s line %d: %d %s-separated fields, want %d values + weight", name, lineNo, len(fields), sep, nvals)
+			return nil, fmt.Errorf("%s line %d: %d %s-separated fields, want %d values + weight", name, lineNo, len(fields), sep, nvals)
 		}
 		for i, f := range fields {
-			if _, err := parseField(f, sep, strictWS); err != nil {
-				if i == nvals {
-					return 0, fmt.Errorf("%s line %d weight: %w", name, lineNo, err)
-				}
-				return 0, fmt.Errorf("%s line %d col %d: %w", name, lineNo, i+1, err)
+			if f != "" {
+				continue
 			}
+			if i == nvals {
+				return nil, fmt.Errorf("%s line %d weight: empty field", name, lineNo)
+			}
+			return nil, fmt.Errorf("%s line %d col %d: empty field", name, lineNo, i+1)
 		}
-		if err := emit(csvRow{line: lineNo, fields: fields}); err != nil {
-			return 0, err
+		w, err := strconv.ParseFloat(fields[nvals], 64)
+		if err == nil {
+			err = checkFinite(w)
 		}
+		if err != nil {
+			return nil, fmt.Errorf("%s line %d weight: %w", name, lineNo, err)
+		}
+		if cols == nil {
+			cols = make([]column, nvals)
+		}
+		for i := range cols {
+			cols[i].add(fields[i])
+		}
+		weights = append(weights, w)
 	}
 	if err := sc.Err(); err != nil {
-		return 0, err
+		if errors.Is(err, bufio.ErrTooLong) {
+			return nil, fmt.Errorf("%s line %d: line longer than %d bytes", name, lineNo+1, maxLineBytes)
+		}
+		return nil, fmt.Errorf("%s line %d: %w", name, lineNo+1, err)
 	}
 	if nvals < 0 {
-		return 0, fmt.Errorf("%s: no data rows", name)
+		return nil, fmt.Errorf("%s: no data rows", name)
 	}
-	return nvals, nil
-}
-
-// parseWeight parses and validates the trailing weight field of a row.
-func parseWeight(name string, row csvRow, nvals int) (float64, error) {
-	w, err := strconv.ParseFloat(row.fields[nvals], 64)
-	if err != nil {
-		return 0, fmt.Errorf("%s line %d weight: %w", name, row.line, err)
-	}
-	if err := checkFinite(w); err != nil {
-		return 0, fmt.Errorf("%s line %d weight: %w", name, row.line, err)
-	}
-	return w, nil
-}
-
-// LoadCSV reads a weighted relation from comma- or whitespace-separated
-// text: one row per line, all columns integer values except the last, which
-// is the finite float64 tuple weight (NaN and ±Inf are rejected with the
-// offending line number). Lines starting with '#' and blank lines are
-// skipped. The separator is sniffed from the first data row and every later
-// row must use the same one; comma rows keep empty fields, which are
-// rejected as errors rather than collapsed. The schema must match the number
-// of value columns. For data with string or float value columns use
-// LoadCSVTyped.
-func LoadCSV(r io.Reader, name string, attrs ...string) (*Relation, error) {
-	return loadInt64(r, name, attrs, false)
-}
-
-// LoadCSVAuto is LoadCSV with the schema inferred from the data: the arity is
-// taken from the first data row (fields minus the trailing weight) and the
-// attributes are named A1..Ak. Empty fields count toward the arity — `1,,2,.5`
-// infers three value columns and then fails loudly on the empty one instead
-// of inferring a wrong arity and shifting columns.
-func LoadCSVAuto(r io.Reader, name string) (*Relation, error) {
-	return loadInt64(r, name, nil, true)
-}
-
-// loadInt64 streams scanned rows straight into an int64-only relation — one
-// pass, one live row at a time, so even cap-sized uploads cost memory
-// proportional to the relation, not to the text plus the relation (only the
-// type-sniffing typed loader needs to see all rows before encoding). With
-// infer the schema is taken from the first data row.
-func loadInt64(r io.Reader, name string, attrs []string, infer bool) (*Relation, error) {
-	arity := len(attrs)
 	if infer {
-		arity = -1
+		attrs = autoAttrs(nvals)
 	}
-	var rel *Relation
-	addRow := func(row csvRow) error {
-		if rel == nil {
-			a := attrs
-			if infer {
-				a = autoAttrs(len(row.fields) - 1)
-			}
-			rel = New(name, a...)
-		}
-		vals := make([]Value, rel.Arity())
-		for i := range vals {
-			v, err := strconv.ParseInt(row.fields[i], 10, 64)
-			if err != nil {
-				return fmt.Errorf("%s line %d col %d: %w", name, row.line, i+1, err)
-			}
-			vals[i] = v
-		}
-		w, err := parseWeight(name, row, rel.Arity())
-		if err != nil {
-			return err
-		}
-		if _, err := rel.TryAdd(w, vals...); err != nil {
-			return fmt.Errorf("%s line %d: %w", name, row.line, err)
-		}
-		return nil
+	if cols == nil { // declared schema, zero data rows
+		cols = make([]column, nvals)
 	}
-	if _, err := scanRows(r, name, arity, true, addRow); err != nil {
+	return encodeRows(dict, name, attrs, cols, weights)
+}
+
+// encodeRows fixes each column's type and encodes its values in place, row
+// by row across the columns, so the dictionary issues codes in the order a
+// row-at-a-time load would. Integer prefixes are already their values in an
+// int64 column; elsewhere they are re-spelled (canonically, as they were
+// read) and encoded like the text that follows them.
+func encodeRows(dict *Dictionary, name string, attrs []string, cols []column, weights []float64) (*Relation, error) {
+	types := make([]Type, len(cols))
+	prefix := make([]int, len(cols))
+	for c := range cols {
+		types[c], prefix[c] = cols[c].finalType(), len(cols[c].vals)
+	}
+	rel, err := NewTyped(name, dict, attrs, types)
+	if err != nil {
 		return nil, err
 	}
-	if rel == nil { // declared schema, zero data rows
-		rel = New(name, attrs...)
+	for i := range weights {
+		for c := range cols {
+			col, t := &cols[c], types[c]
+			var err error
+			switch {
+			case i >= prefix[c]:
+				var v Value
+				v, err = dict.EncodeField(t, col.text[i-prefix[c]])
+				col.vals = append(col.vals, v)
+			case t == TypeFloat64:
+				col.vals[i] = dict.EncodeFloat(float64(col.vals[i]))
+			case t == TypeString:
+				col.vals[i] = dict.EncodeString(strconv.FormatInt(col.vals[i], 10))
+			}
+			if err != nil {
+				return nil, fmt.Errorf("%s data row %d col %d: %w", name, i+1, c+1, err)
+			}
+		}
 	}
+	for c := range cols {
+		rel.cols[c] = cols[c].vals
+	}
+	rel.Weights = weights
+	rel.version.Store(nextStamp())
 	return rel, nil
 }
 
@@ -243,105 +289,6 @@ func autoAttrs(n int) []string {
 		attrs[i] = fmt.Sprintf("A%d", i+1)
 	}
 	return attrs
-}
-
-// sniffColumnTypes infers each value column's logical type as the widest any
-// row needs (int64 ⊂ float64 ⊂ string), so `1` followed by `alice` makes a
-// string column rather than an error — real datasets routinely have id-like
-// first rows in label columns. A column that widened to float64 but contains
-// an integer too large to represent exactly widens further to string:
-// rounding it into a float code would silently merge distinct keys.
-func sniffColumnTypes(rows []csvRow, nvals int) []Type {
-	types := make([]Type, nvals)
-	for _, row := range rows {
-		for i := 0; i < nvals; i++ {
-			if types[i] == TypeString {
-				continue // already widest
-			}
-			types[i] = WidenType(types[i], SniffType(row.fields[i]))
-		}
-	}
-	for i, t := range types {
-		if t != TypeFloat64 {
-			continue
-		}
-		for _, row := range rows {
-			if IntLiteralUnsafeForFloat(row.fields[i]) {
-				types[i] = TypeString
-				break
-			}
-		}
-	}
-	return types
-}
-
-// LoadCSVTyped reads a weighted relation whose value columns may be int64,
-// float64, or string: each column's logical type is sniffed as the widest
-// type its values need, and non-int64 columns are dictionary-encoded into
-// dict so the enumeration core keeps operating on dense int64 codes. The
-// trailing column is always the finite float64 tuple weight. Separator
-// handling, comments, and error shapes match LoadCSV. All relations of one
-// database must share its dictionary (pass db.Dict()) so joins across
-// relations compare codes of the same logical domain.
-func LoadCSVTyped(r io.Reader, dict *Dictionary, name string, attrs ...string) (*Relation, error) {
-	rows, err := collectRows(r, name, len(attrs))
-	if err != nil {
-		return nil, err
-	}
-	return loadTypedRows(dict, name, attrs, rows)
-}
-
-// LoadCSVAutoTyped is LoadCSVTyped with the arity inferred from the first
-// data row and attributes named A1..Ak — the HTTP upload path for bodies
-// without a declared schema.
-func LoadCSVAutoTyped(r io.Reader, dict *Dictionary, name string) (*Relation, error) {
-	rows, err := collectRows(r, name, -1)
-	if err != nil {
-		return nil, err
-	}
-	// rows is non-empty here: inference over zero data rows is a scan error.
-	return loadTypedRows(dict, name, autoAttrs(len(rows[0].fields)-1), rows)
-}
-
-// collectRows buffers every scanned row: the typed loaders must see the
-// whole file before encoding, because a column's sniffed type is the widest
-// any row needs. Lenient whitespace mode: string values may contain spaces.
-func collectRows(r io.Reader, name string, arity int) ([]csvRow, error) {
-	var rows []csvRow
-	if _, err := scanRows(r, name, arity, false, func(row csvRow) error {
-		rows = append(rows, row)
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	return rows, nil
-}
-
-// loadTypedRows sniffs column types over all scanned rows, then encodes them.
-func loadTypedRows(dict *Dictionary, name string, attrs []string, rows []csvRow) (*Relation, error) {
-	types := sniffColumnTypes(rows, len(attrs))
-	rel, err := NewTyped(name, dict, attrs, types)
-	if err != nil {
-		return nil, err
-	}
-	for _, row := range rows {
-		vals := make([]Value, len(attrs))
-		for i := range attrs {
-			v, err := dict.EncodeField(types[i], row.fields[i])
-			if err != nil {
-				return nil, fmt.Errorf("%s line %d col %d: %w", name, row.line, i+1, err)
-			}
-			vals[i] = v
-		}
-		w, err := parseWeight(name, row, len(attrs))
-		if err != nil {
-			return nil, err
-		}
-		if _, err := rel.TryAdd(w, vals...); err != nil {
-			return nil, fmt.Errorf("%s line %d: %w", name, row.line, err)
-		}
-	}
-	return rel, nil
 }
 
 // WriteCSV writes the relation in a format the loaders read back: logical

@@ -2,8 +2,15 @@ package relation
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
+	"io"
+	"math/rand"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 func TestLoadCSV(t *testing.T) {
@@ -12,7 +19,7 @@ func TestLoadCSV(t *testing.T) {
 3,4,1.25
 7, 8, 2
 `
-	r, err := LoadCSV(strings.NewReader(in), "E", "from", "to")
+	r, err := LoadCSVTyped(strings.NewReader(in), NewDictionary(), "E", "from", "to")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +30,7 @@ func TestLoadCSV(t *testing.T) {
 
 func TestLoadCSVWhitespace(t *testing.T) {
 	in := "1 2 0.5\n3\t4\t1.25\n"
-	r, err := LoadCSV(strings.NewReader(in), "E", "from", "to")
+	r, err := LoadCSVTyped(strings.NewReader(in), NewDictionary(), "E", "from", "to")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,12 +43,11 @@ func TestLoadCSVErrors(t *testing.T) {
 	cases := []string{
 		"1,2",       // missing weight
 		"1,2,3,4",   // too many fields
-		"x,2,0.5",   // bad value
 		"1,2,heavy", // bad weight
 	}
 	for _, c := range cases {
-		if _, err := LoadCSV(strings.NewReader(c), "E", "a", "b"); err == nil {
-			t.Errorf("LoadCSV(%q) succeeded", c)
+		if _, err := LoadCSVTyped(strings.NewReader(c), NewDictionary(), "E", "a", "b"); err == nil {
+			t.Errorf("LoadCSVTyped(%q) succeeded", c)
 		}
 	}
 }
@@ -61,13 +67,13 @@ func TestLoadCSVEmptyFields(t *testing.T) {
 		"1, ,2,0.5\n": "fields, want",
 	}
 	for in, want := range cases {
-		_, err := LoadCSV(strings.NewReader(in), "E", "a", "b")
+		_, err := LoadCSVTyped(strings.NewReader(in), NewDictionary(), "E", "a", "b")
 		if err == nil {
-			t.Errorf("LoadCSV(%q) succeeded", in)
+			t.Errorf("LoadCSVTyped(%q) succeeded", in)
 			continue
 		}
 		if !strings.Contains(err.Error(), want) {
-			t.Errorf("LoadCSV(%q) error %q, want mention of %q", in, err, want)
+			t.Errorf("LoadCSVTyped(%q) error %q, want mention of %q", in, err, want)
 		}
 	}
 }
@@ -78,17 +84,16 @@ func TestLoadCSVMixedSeparators(t *testing.T) {
 	cases := map[string]string{
 		"1,2,0.5\n7 8 2\n":        "line 2", // whitespace row in a comma file (arity error)
 		"7 8 2\n1,2,0.5\n":        "line 2: comma-separated row in a whitespace-separated file",
-		"1,2 3,0.5\n":             "whitespace inside comma-separated field",
 		"# c\n\n7 8 2\n1,2,0.5\n": "line 4",
 	}
 	for in, want := range cases {
-		_, err := LoadCSV(strings.NewReader(in), "E", "a", "b")
+		_, err := LoadCSVTyped(strings.NewReader(in), NewDictionary(), "E", "a", "b")
 		if err == nil {
-			t.Errorf("LoadCSV(%q) succeeded", in)
+			t.Errorf("LoadCSVTyped(%q) succeeded", in)
 			continue
 		}
 		if !strings.Contains(err.Error(), want) {
-			t.Errorf("LoadCSV(%q) error %q, want mention of %q", in, err, want)
+			t.Errorf("LoadCSVTyped(%q) error %q, want mention of %q", in, err, want)
 		}
 	}
 }
@@ -100,7 +105,7 @@ func TestLoadCSVAuto(t *testing.T) {
 1,2,9,0.5
 3,4,5,1.25
 `
-	r, err := LoadCSVAuto(strings.NewReader(in), "E")
+	r, err := LoadCSVAutoTyped(strings.NewReader(in), NewDictionary(), "E")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,8 +127,8 @@ func TestLoadCSVAutoErrors(t *testing.T) {
 		"1,2,0.5\n3 4 1\n",     // mixed separators across rows
 	}
 	for _, c := range cases {
-		if _, err := LoadCSVAuto(strings.NewReader(c), "E"); err == nil {
-			t.Errorf("LoadCSVAuto(%q) succeeded", c)
+		if _, err := LoadCSVAutoTyped(strings.NewReader(c), NewDictionary(), "E"); err == nil {
+			t.Errorf("LoadCSVAutoTyped(%q) succeeded", c)
 		}
 	}
 }
@@ -132,9 +137,9 @@ func TestLoadCSVAutoErrors(t *testing.T) {
 // columns (A1..A3), so the data row fails on its empty column instead of
 // loading under a silently narrowed schema.
 func TestLoadCSVAutoEmptyFieldArity(t *testing.T) {
-	_, err := LoadCSVAuto(strings.NewReader("1,,2,0.5\n"), "E")
+	_, err := LoadCSVAutoTyped(strings.NewReader("1,,2,0.5\n"), NewDictionary(), "E")
 	if err == nil {
-		t.Fatal("LoadCSVAuto accepted a row with an empty field")
+		t.Fatal("LoadCSVAutoTyped accepted a row with an empty field")
 	}
 	if !strings.Contains(err.Error(), "empty field") {
 		t.Fatalf("error %q, want mention of the empty field", err)
@@ -149,11 +154,79 @@ func TestCSVRoundTrip(t *testing.T) {
 	if err := WriteCSV(&buf, r); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadCSV(&buf, "R", "a", "b")
+	got, err := LoadCSVTyped(&buf, NewDictionary(), "R", "a", "b")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Size() != 2 || got.At(1, 0) != -4 || got.Weights[0] != 0.5 {
 		t.Fatalf("round trip: %+v", got)
+	}
+}
+
+// A line past maxLineBytes fails with a message naming the relation, the
+// line and the limit; one just inside the limit loads.
+func TestLoadCSVLineTooLong(t *testing.T) {
+	pad := strings.Repeat(" ", maxLineBytes-len("1,2,1"))
+	if _, err := LoadCSVTyped(strings.NewReader("1,2,1"+pad+"\n"), NewDictionary(), "R1", "a", "b"); err != nil {
+		t.Fatalf("line of exactly %d bytes: %v", maxLineBytes, err)
+	}
+	_, err := LoadCSVTyped(strings.NewReader("1,2,1"+pad+" \n"), NewDictionary(), "R1", "a", "b")
+	if want := "R1 line 1: line longer than 1048576 bytes"; err == nil || err.Error() != want {
+		t.Fatalf("error %v, want %q", err, want)
+	}
+}
+
+// Reader errors are wrapped, not flattened: the upload handler tells an
+// over-cap body (413) from a malformed one (400) with errors.As.
+func TestLoadCSVWrapsReaderErrors(t *testing.T) {
+	boom := errors.New("boom")
+	r := io.MultiReader(strings.NewReader("1,2,1\n"), iotest.ErrReader(boom))
+	_, err := LoadCSVAutoTyped(r, NewDictionary(), "R")
+	if !errors.Is(err, boom) {
+		t.Fatalf("error %v does not wrap the reader's", err)
+	}
+}
+
+// TestLoadCSVAllocsPerRow pins the loader's allocation per row on 200 000
+// rows of `a,b,weight`: integer values, which stay parsed int64s from the
+// first row on, and the string values of the http_sessions benchmark
+// workload, which keep their text until every column type is known. Measured
+// 158 and 370 bytes a row (go1.24, amd64). The budgets, 239 and 451, are what
+// the strict int64-only loader and the two-pass typed loader that this one
+// replaced allocated on the same bodies.
+func TestLoadCSVAllocsPerRow(t *testing.T) {
+	const n = 200_000
+	gen := func(value func(r *rand.Rand) string) string {
+		r := rand.New(rand.NewSource(42))
+		var sb strings.Builder
+		for i := 0; i < n; i++ {
+			a, b := value(r), value(r)
+			fmt.Fprintf(&sb, "%s,%s,%s\n", a, b, strconv.FormatFloat(r.Float64()*10000, 'g', -1, 64))
+		}
+		return sb.String()
+	}
+	for _, tc := range []struct {
+		name   string
+		body   string
+		budget float64
+	}{
+		{"integers", gen(func(r *rand.Rand) string { return strconv.Itoa(r.Intn(n)) }), 239},
+		{"strings", gen(func(r *rand.Rand) string { return fmt.Sprintf("user-%05d", r.Intn(n/10)) }), 451},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		rel, err := LoadCSVTyped(strings.NewReader(tc.body), NewDictionary(), "R", "a", "b")
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rel.Size() != n {
+			t.Fatalf("%s: %d rows, want %d", tc.name, rel.Size(), n)
+		}
+		perRow := float64(after.TotalAlloc-before.TotalAlloc) / n
+		t.Logf("%s: %.0f bytes per row", tc.name, perRow)
+		if perRow > tc.budget {
+			t.Errorf("%s: %.0f bytes allocated per row, budget %.0f", tc.name, perRow, tc.budget)
+		}
 	}
 }

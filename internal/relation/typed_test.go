@@ -3,6 +3,7 @@ package relation
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -111,9 +112,7 @@ func TestLoadCSVTypedWidensAcrossRows(t *testing.T) {
 	}
 }
 
-// String values in comma-separated files may contain spaces ("New York"):
-// the mixed-separator whitespace heuristic applies only to the numeric
-// loaders.
+// String values in comma-separated files may contain spaces ("New York").
 func TestLoadCSVTypedAllowsSpacesInStrings(t *testing.T) {
 	in := "New York,NY,1.0\nDonald Knuth,CA,2.0\n"
 	r, err := LoadCSVTyped(strings.NewReader(in), NewDictionary(), "C", "city", "state")
@@ -122,10 +121,6 @@ func TestLoadCSVTypedAllowsSpacesInStrings(t *testing.T) {
 	}
 	if got := r.DecodeRow(r.Row(0))[0]; got != "New York" {
 		t.Fatalf("decoded %v, want %q", got, "New York")
-	}
-	// The numeric loaders keep rejecting it as a likely mixed separator.
-	if _, err := LoadCSV(strings.NewReader("1,2 3,0.5\n"), "E", "a", "b"); err == nil {
-		t.Fatal("strict loader accepted whitespace inside a comma field")
 	}
 }
 
@@ -175,31 +170,63 @@ func TestLoadCSVTypedHugeIntsDoNotRoundIntoFloats(t *testing.T) {
 	}
 }
 
-// Int64-only data through the typed loader must be byte-identical to the
-// strict loader: no dictionary entries, raw values, Types all int64.
+// Int64-only data must load as raw values: no dictionary entries, no
+// dictionary on the relation, Types all int64 — whatever the spelling of the
+// integers.
 func TestLoadCSVTypedInt64Passthrough(t *testing.T) {
-	in := "1,10,0.5\n2,20,1.5\n"
+	in := "1,10,0.5\n2,20,1.5\n007,+5,1\n-0,-9,2\n"
 	dict := NewDictionary()
 	typed, err := LoadCSVTyped(strings.NewReader(in), dict, "E", "a", "b")
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := LoadCSV(strings.NewReader(in), "E", "a", "b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if typed.HasEncodedCols() {
+	if typed.HasEncodedCols() || typed.Dict != nil {
 		t.Fatal("all-int64 data produced encoded columns")
 	}
 	if ns, nf := dict.Len(); ns != 0 || nf != 0 {
 		t.Fatalf("all-int64 data interned %d strings, %d floats", ns, nf)
 	}
-	for i := range plain.Rows() {
-		for c := range plain.Row(i) {
-			if typed.At(i, c) != plain.At(i, c) {
-				t.Fatalf("row %d col %d: typed %v != plain %v", i, c, typed.At(i, c), plain.At(i, c))
-			}
-		}
+	want := [][]Value{{1, 10}, {2, 20}, {7, 5}, {0, -9}}
+	if got := typed.Rows(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("rows %v, want %v", got, want)
+	}
+}
+
+// An integer spelled other than canonically keeps its text: a column that
+// ends as string stores it verbatim, and -0 in a float column is the float
+// -0, exactly as if every field had been buffered as text.
+func TestLoadCSVTypedKeepsIntegerSpelling(t *testing.T) {
+	dict := NewDictionary()
+	r, err := LoadCSVTyped(strings.NewReader("007,-0,1\n+5,1,1\n12,0.5,1\nx,2,1\n"), dict, "S", "s", "f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.ColType(0) != TypeString || r.ColType(1) != TypeFloat64 {
+		t.Fatalf("types %v, want [string float64]", r.Types)
+	}
+	var strs []any
+	for i := 0; i < r.Size(); i++ {
+		strs = append(strs, r.DecodeRow(r.Row(i))[0])
+	}
+	if want := []any{"007", "+5", "12", "x"}; !reflect.DeepEqual(strs, want) {
+		t.Fatalf("string column %v, want %v", strs, want)
+	}
+	if f := r.DecodeRow(r.Row(0))[1].(float64); f != 0 || !math.Signbit(f) {
+		t.Fatalf("-0 loaded as %v, want the float -0", f)
+	}
+}
+
+// Codes are issued in row order across columns, as a row-at-a-time load
+// would issue them, even though a column's integer prefix is encoded only
+// once its type is known.
+func TestLoadCSVTypedCodesInRowOrder(t *testing.T) {
+	r, err := LoadCSVTyped(strings.NewReader("5,y,1\nx,5,1\n"), NewDictionary(), "S", "a", "b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// "5" = 0 and "y" = 1 from row 1, "x" = 2 from row 2.
+	if want := [][]Value{{0, 1}, {2, 0}}; !reflect.DeepEqual(r.Rows(), want) {
+		t.Fatalf("codes %v, want %v", r.Rows(), want)
 	}
 }
 
@@ -317,16 +344,13 @@ func TestLoadCSVRejectsNonFiniteWeights(t *testing.T) {
 		"1 2 1e9999\n":       "line 1", // overflows to +Inf
 	}
 	for in, want := range cases {
-		if _, err := LoadCSV(strings.NewReader(in), "E", "a", "b"); err == nil {
-			t.Errorf("LoadCSV(%q) accepted a non-finite weight", in)
-		} else if !strings.Contains(err.Error(), want) {
-			t.Errorf("LoadCSV(%q) error %q, want mention of %q", in, err, want)
-		}
-		if _, err := LoadCSVAuto(strings.NewReader(in), "E"); err == nil {
-			t.Errorf("LoadCSVAuto(%q) accepted a non-finite weight", in)
-		}
 		if _, err := LoadCSVTyped(strings.NewReader(in), NewDictionary(), "E", "a", "b"); err == nil {
 			t.Errorf("LoadCSVTyped(%q) accepted a non-finite weight", in)
+		} else if !strings.Contains(err.Error(), want) {
+			t.Errorf("LoadCSVTyped(%q) error %q, want mention of %q", in, err, want)
+		}
+		if _, err := LoadCSVAutoTyped(strings.NewReader(in), NewDictionary(), "E"); err == nil {
+			t.Errorf("LoadCSVAutoTyped(%q) accepted a non-finite weight", in)
 		}
 	}
 }

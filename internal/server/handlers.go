@@ -20,16 +20,12 @@
 package server
 
 import (
-	"bufio"
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
-	"os"
 	"sort"
 	"strconv"
 	"strings"
@@ -523,108 +519,26 @@ func (s *Server) handleListDatasets(w http.ResponseWriter, r *http.Request) {
 // format) as relation {rel} of dataset {name}, creating the dataset if it
 // does not exist. ?attrs=A,B declares the schema; without it the arity is
 // inferred from the first data row. Column types are sniffed per column
-// (int64 ⊂ float64 ⊂ string) and non-int64 columns are dictionary-encoded
-// into the dataset's shared dictionary, so string- and float-valued datasets
-// are servable while the enumeration core keeps its dense int64 domain.
-// uploadLoaders bundles the strict and typed parse of one upload body; attrs
-// is the raw ?attrs= value ("" = infer the schema from the first data row).
-func uploadStrict(r io.Reader, relName, attrs string) (*relation.Relation, error) {
-	if attrs != "" {
-		return relation.LoadCSV(r, relName, strings.Split(attrs, ",")...)
-	}
-	return relation.LoadCSVAuto(r, relName)
-}
-
-func uploadTyped(r io.Reader, dict *relation.Dictionary, relName, attrs string) (*relation.Relation, error) {
-	if attrs != "" {
-		return relation.LoadCSVTyped(r, dict, relName, strings.Split(attrs, ",")...)
-	}
-	return relation.LoadCSVAutoTyped(r, dict, relName)
-}
-
-// spoolMemLimit is how much of an upload body is retained in memory for the
-// typed-loader replay before spilling to a temp file: small (typical) bodies
-// never touch disk, near-cap ones cost one sequential file instead of heap.
-const spoolMemLimit = 8 << 20
-
-// bodySpool captures the bytes an upload parse consumes so a failed strict
-// pass can be replayed through the typed loader. Write never returns an
-// error — a spool fault must not abort a strict parse that may succeed and
-// never need the replay — it is deferred to Replay, where it surfaces as the
-// server-side fault it is (never as a client 400).
-type bodySpool struct {
-	mem  bytes.Buffer
-	file *os.File
-	werr error
-}
-
-func (sp *bodySpool) Write(p []byte) (int, error) {
-	if sp.werr != nil {
-		return len(p), nil
-	}
-	if sp.file == nil {
-		if sp.mem.Len()+len(p) <= spoolMemLimit {
-			return sp.mem.Write(p)
-		}
-		f, err := os.CreateTemp("", "anykd-upload-*.csv")
-		if err != nil {
-			sp.werr = err
-			return len(p), nil
-		}
-		sp.file = f
-		if _, err := sp.file.Write(sp.mem.Bytes()); err != nil {
-			sp.werr = err
-			return len(p), nil
-		}
-		sp.mem.Reset()
-	}
-	if _, err := sp.file.Write(p); err != nil {
-		sp.werr = err
-	}
-	return len(p), nil
-}
-
-// Replay returns a reader over everything written so far, or the deferred
-// spool fault.
-func (sp *bodySpool) Replay() (io.Reader, error) {
-	if sp.werr != nil {
-		return nil, fmt.Errorf("spooling upload body: %w", sp.werr)
-	}
-	if sp.file == nil {
-		return bytes.NewReader(sp.mem.Bytes()), nil
-	}
-	if _, err := sp.file.Seek(0, io.SeekStart); err != nil {
-		return nil, err
-	}
-	return bufio.NewReaderSize(sp.file, 1<<20), nil
-}
-
-// Close releases the spill file, if any.
-func (sp *bodySpool) Close() {
-	if sp.file != nil {
-		sp.file.Close()
-		os.Remove(sp.file.Name())
-	}
-}
-
+// (int64 ⊂ float64 ⊂ string) and non-int64 columns are dictionary-encoded,
+// so string- and float-valued datasets are servable while the enumeration
+// core keeps its dense int64 domain.
 func (s *Server) handleUploadRelation(w http.ResponseWriter, r *http.Request) {
 	name, relName := r.PathValue("name"), r.PathValue("rel")
 	attrs := r.URL.Query().Get("attrs")
 	// MaxBytesReader (unlike a plain LimitReader) errors the read past the
 	// cap, so an oversized upload is rejected instead of silently truncated.
 	body := http.MaxBytesReader(w, r.Body, maxUploadBytes)
-	// Parse int64-first: the strict loader streams one row at a time (no
-	// per-field buffering), so all-integer uploads — the common case — keep
-	// memory proportional to the relation, not the text. The body is teed
-	// into a spool (memory up to spoolMemLimit, then a temp file) as the
-	// strict pass consumes it, because anything the strict loader rejects
-	// retries through the type-sniffing loader, which must replay the full
-	// body. The typed pass encodes into a *scratch* dictionary: nothing is
+	// One streaming pass encodes into a *scratch* dictionary: nothing is
 	// interned into the live dataset's dictionary unless the entire body
 	// parses, so a failed upload cannot grow it.
-	spool := &bodySpool{}
-	defer spool.Close()
-	rel, err := uploadStrict(io.TeeReader(body, spool), relName, attrs)
+	dict := relation.NewDictionary()
+	var rel *relation.Relation
+	var err error
+	if attrs != "" {
+		rel, err = relation.LoadCSVTyped(body, dict, relName, strings.Split(attrs, ",")...)
+	} else {
+		rel, err = relation.LoadCSVAutoTyped(body, dict, relName)
+	}
 	if err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
@@ -632,28 +546,8 @@ func (s *Server) handleUploadRelation(w http.ResponseWriter, r *http.Request) {
 				fmt.Sprintf("upload exceeds %d bytes", maxUploadBytes))
 			return
 		}
-		// Spool whatever the aborted strict pass did not consume, then
-		// replay the whole body through the typed loader. spool.Write never
-		// errors, so a Copy failure is a body-read (client-side) fault.
-		if _, cerr := io.Copy(spool, body); cerr != nil {
-			if errors.As(cerr, &mbe) {
-				writeError(w, http.StatusRequestEntityTooLarge, CodePayloadTooLarge,
-					fmt.Sprintf("upload exceeds %d bytes", maxUploadBytes))
-			} else {
-				writeError(w, http.StatusBadRequest, CodeBadRequest, cerr.Error())
-			}
-			return
-		}
-		replay, rerr := spool.Replay()
-		if rerr != nil {
-			writeError(w, http.StatusInternalServerError, CodeInternal, rerr.Error())
-			return
-		}
-		rel, err = uploadTyped(replay, relation.NewDictionary(), relName, attrs)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, CodeBadRequest, err.Error())
-			return
-		}
+		writeError(w, http.StatusBadRequest, CodeBadRequest, err.Error())
+		return
 	}
 	// Copy-on-write: registered DBs are never mutated, so readers (query
 	// opens mid-enumeration-build) need no lock beyond the map lookup. The

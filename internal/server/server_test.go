@@ -260,7 +260,7 @@ func TestCSVUploadAndDatalog(t *testing.T) {
 			t.Fatalf("upload %s: status %d body %s", rel, resp.StatusCode, raw)
 		}
 	}
-	// R1 declares its schema; R2 relies on inference (LoadCSVAuto).
+	// R1 declares its schema; R2 relies on inference (LoadCSVAutoTyped).
 	upload("R1", "A,B", "1,10,1.0\n2,20,5.0\n")
 	upload("R2", "", "# inferred schema\n10,100,2.0\n10,101,4.0\n20,200,1.0\n")
 
