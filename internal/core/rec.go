@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/bits"
+
 	"anyk/internal/dioid"
 	"anyk/internal/dpgraph"
 	"anyk/internal/heapq"
@@ -17,16 +19,24 @@ import (
 //     Cartesian product of its branches' solution sequences with a
 //     duplicate-free Lawler-style frontier, as prescribed for tree stages;
 //   - a next() call chain runs top-down on demand, exactly as in REA.
+//
+// The memo lives in flat memory, so a drain allocates per group and per
+// stage, never per result: group memos sit by value in dense per-stage
+// tables, multi-branch states in a dense table per stage, rank vectors in
+// one pointer-free slab per stage, and suffix lists in segmented vectors
+// that never move.
 type recEnum[W any] struct {
 	g *dpgraph.Graph[W]
 	d dioid.Dioid[W]
 
-	groups [][]*recGroup[W]         // per stage, per group id
-	states []map[int32]*recState[W] // per stage: multi-branch states only
-	k      int
-	cur    []int32
-	done   bool
-	pushes int // Stats: frontier insertions
+	groups   [][]recGroup[W] // per stage, per group id
+	stages   []recStage[W]   // per stage: multi-branch states only
+	sufLess  func(a, b recSuffix[W]) bool
+	combLess func(a, b recComb[W]) bool
+	k        int
+	cur      []int32
+	done     bool
+	pushes   int // Stats: frontier insertions
 }
 
 // recSuffix is the j-th ranked suffix of a group: take member (a position in
@@ -37,34 +47,48 @@ type recSuffix[W any] struct {
 	rank   int32
 }
 
-// recGroup memoizes a group's ranked suffixes. Invariant: the priority
-// queue's top equals the last element of sols; popping it and reinserting
-// the member's next-ranked suffix reveals the following solution.
+// recGroup memoizes a group's ranked suffixes; pq == nil until the group's
+// first visit. Invariant: the priority queue's top equals the last element
+// of sols; popping it and reinserting the member's next-ranked suffix
+// reveals the following solution.
 type recGroup[W any] struct {
-	sols []recSuffix[W]
+	sols segvec[recSuffix[W]]
 	pq   *heapq.Heap[recSuffix[W]]
 }
 
 // recComb is one ranked combination of branch solutions at a multi-branch
-// state: ranks[d] is the solution rank used for branch d.
+// state: record at of the stage's rank slab holds, at position d, the
+// solution rank used for branch d.
 type recComb[W any] struct {
-	cost  W
-	ranks []int32
+	cost W
+	at   int32
 }
 
 // recState memoizes a multi-branch state's ranked branch combinations.
 type recState[W any] struct {
-	sols []recComb[W]
+	sols segvec[recComb[W]]
 	pq   *heapq.Heap[recComb[W]]
+}
+
+// recStage holds the memo of a stage with more than one unpruned branch.
+// slot[s] is 1 + the index of state s in states (0: not yet visited), and
+// ranks is the append-only slab of rank vectors, width int32s per record.
+type recStage[W any] struct {
+	slot   []int32
+	states []recState[W]
+	ranks  []int32
+	width  int
 }
 
 func newRec[W any](g *dpgraph.Graph[W]) *recEnum[W] {
 	e := &recEnum[W]{g: g, d: g.D}
-	e.groups = make([][]*recGroup[W], len(g.Stages))
+	e.groups = make([][]recGroup[W], len(g.Stages))
 	for i, st := range g.Stages {
-		e.groups[i] = make([]*recGroup[W], len(st.Groups))
+		e.groups[i] = make([]recGroup[W], len(st.Groups))
 	}
-	e.states = make([]map[int32]*recState[W], len(g.Stages))
+	e.stages = make([]recStage[W], len(g.Stages))
+	e.sufLess = func(a, b recSuffix[W]) bool { return e.d.Less(a.cost, b.cost) }
+	e.combLess = func(a, b recComb[W]) bool { return e.d.Less(a.cost, b.cost) }
 	e.cur = make([]int32, len(g.Stages))
 	e.done = g.Empty()
 	return e
@@ -111,30 +135,36 @@ func (e *recEnum[W]) stateSolCost(stage int, state int32, rank int32) (W, bool) 
 		}
 		return suf.cost, true
 	}
-	rs := e.recStateOf(stage, state)
-	if !e.stateAdvance(st, state, rs, rank) {
+	ms := &e.stages[stage]
+	rs := e.recStateOf(st, ms, state)
+	if !e.stateAdvance(st, state, ms, rs, rank) {
 		var zero W
 		return zero, false
 	}
-	return rs.sols[rank].cost, true
+	return rs.sols.at(rank).cost, true
 }
 
-func (e *recEnum[W]) recStateOf(stage int, state int32) *recState[W] {
-	if e.states[stage] == nil {
-		e.states[stage] = map[int32]*recState[W]{}
+// recStateOf returns state's memo, creating it (and, on the stage's first
+// visit, the stage's table) on demand. The pointer is valid until the
+// stage's next new state: recursion only reaches descendant stages.
+func (e *recEnum[W]) recStateOf(st *dpgraph.Stage[W], ms *recStage[W], state int32) *recState[W] {
+	if ms.slot == nil {
+		ms.slot = make([]int32, st.N)
+		ms.width = len(st.UnprunedBranches)
 	}
-	rs := e.states[stage][state]
-	if rs == nil {
-		rs = &recState[W]{}
-		rs.pq = heapq.New[recComb[W]](4, func(a, b recComb[W]) bool { return e.d.Less(a.cost, b.cost) })
-		st := e.g.Stages[stage]
-		ranks := make([]int32, len(st.UnprunedBranches))
-		cost, ok := e.combCost(st, state, ranks)
-		if ok {
-			rs.pq.Push(recComb[W]{cost: cost, ranks: ranks})
-			e.pushes++
-		}
-		e.states[stage][state] = rs
+	if i := ms.slot[state]; i != 0 {
+		return &ms.states[i-1]
+	}
+	ms.states = append(ms.states, recState[W]{pq: heapq.New(4, e.combLess)})
+	ms.slot[state] = int32(len(ms.states))
+	rs := &ms.states[len(ms.states)-1]
+	at := len(ms.ranks) / ms.width
+	ms.ranks = append(ms.ranks, make([]int32, ms.width)...)
+	if cost, ok := e.combCost(st, state, ms.ranks[at*ms.width:]); ok {
+		rs.pq.Push(recComb[W]{cost: cost, at: int32(at)})
+		e.pushes++
+	} else {
+		ms.ranks = ms.ranks[:at*ms.width]
 	}
 	return rs
 }
@@ -142,22 +172,31 @@ func (e *recEnum[W]) recStateOf(stage int, state int32) *recState[W] {
 // stateAdvance grows rs.sols to cover rank, using the duplicate-free
 // Cartesian-product frontier: popping a combination inserts the variants
 // that increment dimension d, for every d whose following dimensions are all
-// at rank zero.
-func (e *recEnum[W]) stateAdvance(st *dpgraph.Stage[W], state int32, rs *recState[W], rank int32) bool {
-	for int32(len(rs.sols)) <= rank {
+// at rank zero. Each variant's rank vector is appended to the stage's slab;
+// a rejected variant truncates it back.
+func (e *recEnum[W]) stateAdvance(st *dpgraph.Stage[W], state int32, ms *recStage[W], rs *recState[W], rank int32) bool {
+	w := ms.width
+	for rs.sols.len() <= rank {
 		top, ok := rs.pq.Pop()
 		if !ok {
 			return false
 		}
-		rs.sols = append(rs.sols, top)
-		for d := len(top.ranks) - 1; d >= 0; d-- {
-			next := append([]int32(nil), top.ranks...)
+		rs.sols.push(top)
+		from := int(top.at) * w
+		for d := w - 1; d >= 0; d-- {
+			at := len(ms.ranks)
+			for i := from; i < from+w; i++ { // w is tiny: no memmove call
+				ms.ranks = append(ms.ranks, ms.ranks[i])
+			}
+			next := ms.ranks[at:]
 			next[d]++
 			if cost, ok := e.combCost(st, state, next); ok {
-				rs.pq.Push(recComb[W]{cost: cost, ranks: next})
+				rs.pq.Push(recComb[W]{cost: cost, at: int32(at / w)})
 				e.pushes++
+			} else {
+				ms.ranks = ms.ranks[:at]
 			}
-			if top.ranks[d] != 0 {
+			if ms.ranks[from+d] != 0 {
 				break // only dimensions followed by all-zero ranks may advance
 			}
 		}
@@ -184,13 +223,13 @@ func (e *recEnum[W]) combCost(st *dpgraph.Stage[W], state int32, ranks []int32) 
 // groupSol returns the group's rank-th suffix solution, advancing the shared
 // memo as needed.
 func (e *recEnum[W]) groupSol(stage int, gi int32, rank int32) (recSuffix[W], bool) {
-	rg := e.groups[stage][gi]
-	if rg == nil {
-		rg = e.initGroup(stage, gi)
+	rg := &e.groups[stage][gi]
+	if rg.pq == nil {
+		e.initGroup(rg, stage, gi)
 	}
 	st := e.g.Stages[stage]
 	grp := &st.Groups[gi]
-	for int32(len(rg.sols)) <= rank {
+	for rg.sols.len() <= rank {
 		// Pop the suffix that was last revealed and replace it with the
 		// member's next-ranked solution; the new top is the next suffix.
 		top, ok := rg.pq.Pop()
@@ -207,27 +246,23 @@ func (e *recEnum[W]) groupSol(stage int, gi int32, rank int32) (recSuffix[W], bo
 		if !ok {
 			return recSuffix[W]{}, false
 		}
-		rg.sols = append(rg.sols, nxt)
+		rg.sols.push(nxt)
 	}
-	return rg.sols[rank], true
+	return *rg.sols.at(rank), true
 }
 
-func (e *recEnum[W]) initGroup(stage int, gi int32) *recGroup[W] {
-	st := e.g.Stages[stage]
-	grp := &st.Groups[gi]
-	rg := &recGroup[W]{}
+func (e *recEnum[W]) initGroup(rg *recGroup[W], stage int, gi int32) {
+	grp := &e.g.Stages[stage].Groups[gi]
 	entries := make([]recSuffix[W], len(grp.Members))
 	for p := range grp.Members {
 		// Costs[p] = Opt(member) = EffWeight ⊗ best subtree = rank-0 suffix.
 		entries[p] = recSuffix[W]{cost: grp.Costs[p], member: int32(p), rank: 0}
 	}
-	rg.pq = heapq.From(entries, func(a, b recSuffix[W]) bool { return e.d.Less(a.cost, b.cost) })
+	rg.pq = heapq.From(entries, e.sufLess)
 	e.pushes += len(entries)
 	if top, ok := rg.pq.Peek(); ok {
-		rg.sols = append(rg.sols, top)
+		rg.sols.push(top)
 	}
-	e.groups[stage][gi] = rg
-	return rg
 }
 
 // materialize writes the states of (stage, state)'s rank-th subtree solution
@@ -242,13 +277,16 @@ func (e *recEnum[W]) materialize(stage int, state int32, rank int32) {
 	if len(branches) == 0 {
 		return
 	}
-	var ranks []int32
+	var one [1]int32
+	ranks := one[:]
 	if len(branches) == 1 {
-		ranks = []int32{rank}
+		one[0] = rank
 	} else {
-		rs := e.recStateOf(stage, state)
-		e.stateAdvance(st, state, rs, rank)
-		ranks = rs.sols[rank].ranks
+		ms := &e.stages[stage]
+		rs := e.recStateOf(st, ms, state)
+		e.stateAdvance(st, state, ms, rs, rank)
+		at := int(rs.sols.at(rank).at) * ms.width
+		ranks = ms.ranks[at : at+ms.width]
 	}
 	for d, b := range branches {
 		cs := st.ChildStages[b]
@@ -259,4 +297,30 @@ func (e *recEnum[W]) materialize(stage int, state int32, rank int32) {
 		child := e.g.Stages[cs].Groups[gi].Members[suf.member]
 		e.materialize(cs, child, suf.rank)
 	}
+}
+
+// segvec is an append-only vector whose elements never move: segment i
+// holds 4<<i elements, so growth allocates the next segment, copies nothing
+// and leaves no garbage, and an index costs one bits.Len.
+type segvec[T any] struct {
+	segs [][]T
+	n    int32
+}
+
+func (v *segvec[T]) len() int32 { return v.n }
+
+// at returns a pointer to element i < len(); it stays valid for good.
+func (v *segvec[T]) at(i int32) *T {
+	x := uint32(i) + 4
+	s := bits.Len32(x) - 3
+	return &v.segs[s][x-4<<s]
+}
+
+func (v *segvec[T]) push(x T) {
+	if s := bits.Len32(uint32(v.n)+4) - 3; s == len(v.segs) {
+		v.segs = append(v.segs, make([]T, 0, 4<<s))
+	}
+	last := &v.segs[len(v.segs)-1]
+	*last = append(*last, x)
+	v.n++
 }

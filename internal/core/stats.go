@@ -39,17 +39,16 @@ func (e *recEnum[W]) Stats() Stats {
 	s := Stats{CandidatesInserted: e.pushes}
 	total := 0
 	for _, gs := range e.groups {
-		for _, rg := range gs {
-			if rg != nil {
-				total += len(rg.sols) + rg.pq.Len()
+		for i := range gs {
+			if rg := &gs[i]; rg.pq != nil {
+				total += int(rg.sols.len()) + rg.pq.Len()
 			}
 		}
 	}
-	for _, m := range e.states {
-		for _, rs := range m {
-			if rs != nil {
-				total += len(rs.sols) + rs.pq.Len()
-			}
+	for _, ms := range e.stages {
+		for i := range ms.states {
+			rs := &ms.states[i]
+			total += int(rs.sols.len()) + rs.pq.Len()
 		}
 	}
 	s.MaxQueueSize = total

@@ -30,19 +30,19 @@ func fig10aIter(t *testing.T, alg core.Algorithm) *Iterator[float64] {
 
 // TestSteadyStateAllocsPerNext pins the per-result allocation budget of the
 // serial fig10a drain in steady state; TestDrainAllocsPerRow below pins the
-// whole drain. Take2's steady state is sub-1 alloc/Next (arena and
-// slab refills amortize to ~1/256); Recursive's Lawler frontier copies one
-// rank vector per multi-branch expansion, so its budget is higher but still
-// pinned. Bounds carry slack over the measured means (≈0.02 and ≈1.1) to
-// absorb scheduling noise, not regressions: the pre-columnar build sat at
-// ≈3.1 for both and must not come back.
+// whole drain. Both are sub-1 alloc/Next: Take2's arena and slab refills
+// amortize to ~1/256, and Recursive's memo allocates per group, per state
+// and per slab or segment growth, never per result. Bounds carry slack over
+// the measured means (≈0.02 and 0) to absorb scheduling noise, not
+// regressions: the pre-columnar build sat at ≈3.1 for both, and Recursive at
+// ≈1.1 while each frontier push copied its rank vector.
 func TestSteadyStateAllocsPerNext(t *testing.T) {
 	for _, tc := range []struct {
 		alg    core.Algorithm
 		budget float64
 	}{
 		{core.Take2, 1.0},
-		{core.Recursive, 2.0},
+		{core.Recursive, 0.5},
 	} {
 		it := fig10aIter(t, tc.alg)
 		got := testing.AllocsPerRun(3000, func() {
@@ -60,9 +60,11 @@ func TestSteadyStateAllocsPerNext(t *testing.T) {
 // TestDrainAllocsPerRow pins what a whole serial fig10a session allocates
 // per produced row, Enumerate through exhaustion. testing.AllocsPerRun
 // rounds to whole objects per run, so the unit measured is the full drain,
-// not one Next. Measured: Recursive 348 393 objects for 309 166 rows (1.127
-// per row, the Lawler frontier's rank-vector copies); Take2 3 118 objects
-// (0.010 per row, arena and slab refills). Budgets are about 1.3× those.
+// not one Next. Measured: Recursive 8 057 objects for 309 166 rows (0.026
+// per row: group and state memos, rank-slab and suffix-segment growth);
+// Take2 3 118 objects (0.010 per row, arena and slab refills). Budgets are
+// about 2× those. Recursive sat at 348 393 objects (1.127 per row) while
+// each frontier push copied its rank vector.
 func TestDrainAllocsPerRow(t *testing.T) {
 	db := dataset.Uniform(4, 300, 1)
 	q := query.PathQuery(4)
@@ -70,7 +72,7 @@ func TestDrainAllocsPerRow(t *testing.T) {
 		alg    core.Algorithm
 		budget float64
 	}{
-		{core.Recursive, 1.3},
+		{core.Recursive, 0.05},
 		{core.Take2, 0.02},
 	} {
 		rows := 0

@@ -17,6 +17,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -149,7 +150,9 @@ func DiffCached[W any](t testing.TB, db *relation.DB, q *query.CQ, d dioid.Dioid
 }
 
 // CompareRanked asserts got matches the reference stream: same length,
-// order-equivalent weight at every rank, and the same multiset of row values.
+// order-equivalent weight at every rank, and the same multiset of row values
+// within each tie class (each maximal run of equal weights). Tied rows may
+// permute, but no row may trade its values with a row of another weight.
 func CompareRanked[W any](t testing.TB, label string, d dioid.Dioid[W], got, ref []core.Row[W]) {
 	t.Helper()
 	if len(got) != len(ref) {
@@ -160,7 +163,18 @@ func CompareRanked[W any](t testing.TB, label string, d dioid.Dioid[W], got, ref
 			t.Fatalf("%s: rank %d weight %v, want %v", label, i, got[i].Weight, ref[i].Weight)
 		}
 	}
-	SameRows(t, label, RowKeys(got), RowKeys(ref))
+	gk, rk := RowKeys(got), RowKeys(ref)
+	for lo, hi := 0, 1; lo < len(ref); lo, hi = hi, hi+1 {
+		for hi < len(ref) && dioid.Eq(d, ref[hi-1].Weight, ref[hi].Weight) {
+			hi++
+		}
+		g, r := gk[lo:hi], rk[lo:hi]
+		slices.Sort(g)
+		slices.Sort(r)
+		if !slices.Equal(g, r) {
+			SameRows(t, fmt.Sprintf("%s: tie class at ranks %d..%d (weight %v)", label, lo, hi-1, ref[lo].Weight), g, r)
+		}
+	}
 }
 
 // Ranked asserts the stream's weights are non-decreasing under d.
