@@ -36,7 +36,7 @@
 //   - internal/obs — dependency-free observability: per-query phase traces,
 //     inter-result delay histograms, MEM(k) counters, and a metric registry
 //     rendered as Prometheus text exposition (GET /metrics on anykd,
-//     per-session GET /v1/sessions/{id}/stats, anyk -trace)
+//     per-session GET /v1/queries/{id}/stats, anyk -trace)
 //   - internal/loadgen — closed- and open-loop (coordinated-omission-
 //     corrected) load drivers over the anykd API; cmd/loadgen runs them
 //   - internal/query, internal/relation, internal/dioid, internal/heapq,

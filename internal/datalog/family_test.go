@@ -14,21 +14,29 @@ import (
 	"anyk/internal/relation"
 )
 
-// TestFamilyPrograms checks the canned-program view of every built-in family:
-// the program's goal must mirror the family CQ's atoms, and enumerating the
-// program must produce the CQ's exact ranked stream.
+// TestFamilyPrograms checks every built-in family written as a one-goal
+// program, `?- ` followed by the family's atoms: the goal must mirror the
+// family CQ's atoms, and enumerating the program must produce the CQ's exact
+// ranked stream.
 func TestFamilyPrograms(t *testing.T) {
 	for _, name := range []string{"path4", "star3", "cycle4", "cartesian3", "clique3"} {
-		p, err := datalog.ParseFamilyProgram(name)
+		q, err := query.ParseFamily(name)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		q, _ := query.ParseFamily(name)
+		atoms := make([]string, len(q.Atoms))
+		for i, a := range q.Atoms {
+			atoms[i] = a.String()
+		}
+		p, err := datalog.ParseProgram("?- " + strings.Join(atoms, ", ") + ".")
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
 		if len(p.Goal.Body) != len(q.Atoms) {
 			t.Fatalf("%s: program goal has %d atoms, family CQ %d", name, len(p.Goal.Body), len(q.Atoms))
 		}
 		if len(p.Rules) != 0 {
-			t.Fatalf("%s: canned program should be goal-only, has %d rules", name, len(p.Rules))
+			t.Fatalf("%s: goal-only program has %d rules", name, len(p.Rules))
 		}
 		db := dataset.Uniform(len(q.Atoms), 60, 5)
 		if strings.HasPrefix(name, "cartesian") {
@@ -62,54 +70,5 @@ func TestFamilyPrograms(t *testing.T) {
 				t.Fatalf("%s rank %d: program weight %v, CQ %v", name, i, gr[i].Weight, wr[i].Weight)
 			}
 		}
-	}
-}
-
-// TestFromCQProjection pins the projected rendering: free variables become a
-// sink-rule head, and selection predicates render back into term syntax
-// (constants and repeated variables) where the program grammar has one.
-func TestFromCQProjection(t *testing.T) {
-	q := query.NewCQ("ends", []string{"x", "z"},
-		query.Atom{Rel: "R1", Vars: []string{"x", "y"}},
-		query.Atom{Rel: "R2", Vars: []string{"y", "z"}})
-	p, err := datalog.FromCQ(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.GoalDirective || p.Goal.Head.Pred != "ends" {
-		t.Fatalf("projected goal %+v", p.Goal)
-	}
-	// A column-equality predicate renders as a repeated variable.
-	selfQ, err := query.Parse("q(*) :- R1(x, x)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp, err := datalog.FromCQ(selfQ)
-	if err != nil {
-		t.Fatalf("self-join atom should render as a repeated variable, got %v", err)
-	}
-	if !strings.Contains(sp.String(), "R1(x,x)") {
-		t.Fatalf("rendered program %q, want R1(x,x)", sp.String())
-	}
-	// Constants and wildcards render too.
-	constQ, err := query.Parse("q(*) :- R1(7, _, x)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cp, err := datalog.FromCQ(constQ)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(cp.String(), "R1(7,_,x)") {
-		t.Fatalf("rendered program %q, want R1(7,_,x)", cp.String())
-	}
-	// Inequality predicates have no program syntax.
-	ltQ, err := query.Parse("q(*) :- R1(x, y | $2 < 5)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := datalog.FromCQ(ltQ); err == nil ||
-		!strings.Contains(err.Error(), "no program syntax") {
-		t.Fatalf("inequality predicate should be rejected, got %v", err)
 	}
 }

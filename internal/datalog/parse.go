@@ -165,28 +165,18 @@ func parseRule(st statement) (Rule, error) {
 	if !ok {
 		return Rule{}, fmt.Errorf("line %d: statement is not a rule (missing ':-'); facts are not supported — load data through the database", st.line)
 	}
-	headLine := st.line
-	name, terms, err := query.ParseAtomTerms(headText)
+	name, vars, err := query.ParseHead(headText)
 	if err != nil {
-		return Rule{}, fmt.Errorf("line %d: head: %v", headLine, err)
+		return Rule{}, fmt.Errorf("line %d: %v", st.line, err)
 	}
-	seen := map[string]bool{}
-	for _, t := range terms {
-		if !t.IsVar() {
-			return Rule{}, fmt.Errorf("line %d: head of %s: term %s is not a variable (head terms must be variables)", headLine, name, t)
+	terms := make([]query.Term, len(vars))
+	for i, v := range vars {
+		if v == "*" {
+			return Rule{}, fmt.Errorf("line %d: head of %s: '*' is not valid in a program rule head", st.line, name)
 		}
-		if t.Var == "*" {
-			return Rule{}, fmt.Errorf("line %d: head of %s: '*' is not valid in a program rule head", headLine, name)
-		}
-		if t.Var == "_" {
-			return Rule{}, fmt.Errorf("line %d: head of %s: '_' is not valid in a rule head (every head column needs a name)", headLine, name)
-		}
-		if seen[t.Var] {
-			return Rule{}, fmt.Errorf("line %d: repeated variable %s in head of %s", headLine, t.Var, name)
-		}
-		seen[t.Var] = true
+		terms[i] = query.Term{Kind: query.TermVar, Var: v}
 	}
-	head := Atom{Pred: name, Terms: terms, Line: headLine}
+	head := Atom{Pred: name, Terms: terms, Line: st.line}
 	body, err := parseBody(bodyText, st.line+strings.Count(headText, "\n"))
 	if err != nil {
 		return Rule{}, err
@@ -225,72 +215,31 @@ func parseDirective(st statement) (Rule, error) {
 	}, nil
 }
 
-// parseBody scans a comma-separated atom list, tracking negation prefixes
-// and per-atom line numbers.
+// parseBody lowers a rule body through the shared body scanner, adding
+// source line numbers to every error.
 func parseBody(text string, startLine int) ([]Atom, error) {
 	var atoms []Atom
-	line := startLine
-	rest := text
-	advance := func(n int) {
-		line += strings.Count(rest[:n], "\n")
-		rest = rest[n:]
-	}
-	trim := func() {
-		n := 0
-		for n < len(rest) && (rest[n] == ' ' || rest[n] == '\t' || rest[n] == '\n' || rest[n] == '\r') {
-			n++
-		}
-		advance(n)
-	}
-	trim()
-	if rest == "" {
-		return nil, fmt.Errorf("line %d: rule has no body atoms", startLine)
-	}
-	for len(rest) > 0 {
-		negated := false
-		if strings.HasPrefix(rest, "!") {
-			negated = true
-			advance(1)
-			trim()
-		} else if strings.HasPrefix(rest, "not") && len(rest) > 3 && (rest[3] == ' ' || rest[3] == '\t' || rest[3] == '\n' || rest[3] == '\r') {
-			negated = true
-			advance(3)
-			trim()
-		}
-		close := query.CloseParen(rest)
-		if close < 0 {
-			return nil, fmt.Errorf("line %d: unterminated atom in %q", line, strings.TrimSpace(rest))
-		}
-		atomLine := line
-		name, terms, err := query.ParseAtomTerms(rest[:close+1])
+	line, err := query.ScanBody(text, startLine, func(src string, negated bool, line int) error {
+		name, terms, err := query.ParseAtomTerms(src)
 		if err != nil {
-			return nil, fmt.Errorf("line %d: %v", atomLine, err)
+			return err
 		}
 		for _, t := range terms {
 			if !t.IsVar() {
 				continue
 			}
 			if t.Var == "*" {
-				return nil, fmt.Errorf("line %d: '*' is not valid in a program atom", atomLine)
+				return fmt.Errorf("'*' is not valid in a program atom")
 			}
 			if negated && t.Var == "_" {
-				return nil, fmt.Errorf("line %d: '_' is not valid in a negated atom (negation matches whole tuples)", atomLine)
+				return fmt.Errorf("'_' is not valid in a negated atom (negation matches whole tuples)")
 			}
 		}
-		atoms = append(atoms, Atom{Pred: name, Terms: terms, Negated: negated, Line: atomLine})
-		advance(close + 1)
-		trim()
-		if rest == "" {
-			return atoms, nil
-		}
-		if rest[0] != ',' {
-			return nil, fmt.Errorf("line %d: expected ',' before %q", line, strings.TrimSpace(rest))
-		}
-		advance(1)
-		trim()
-		if rest == "" {
-			return nil, fmt.Errorf("line %d: trailing comma in rule body", line)
-		}
+		atoms = append(atoms, Atom{Pred: name, Terms: terms, Negated: negated, Line: line})
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("line %d: %v", line, err)
 	}
 	return atoms, nil
 }

@@ -190,14 +190,3 @@ func (s HistSnapshot) Quantile(p float64) float64 {
 	}
 	return s.Max
 }
-
-// NonZeroBuckets returns only the populated buckets, for compact JSON dumps.
-func (s HistSnapshot) NonZeroBuckets() []HistBucket {
-	var out []HistBucket
-	for _, b := range s.Buckets {
-		if b.Count > 0 {
-			out = append(out, b)
-		}
-	}
-	return out
-}

@@ -2,6 +2,7 @@ package query
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"unicode"
@@ -65,6 +66,7 @@ func (t Term) String() string {
 // The head lists the free variables; `Q(*)` (or repeating every variable)
 // makes the query full. Identifiers are letters/digits/underscores starting
 // with a letter. Whitespace is insignificant; a trailing period is allowed.
+// Negated atoms (`not R(x)`, `!R(x)`) need a Datalog program and are rejected.
 //
 // Body atoms may carry selection predicates, lowered onto Atom.Preds and
 // pushed down to the scan by the engine:
@@ -79,49 +81,41 @@ func (t Term) String() string {
 //     column-equality predicate;
 //   - `_` in a term position leaves that column unbound and unconstrained.
 //
-// Every body atom must bind at least one variable.
+// Every body atom must bind at least one variable. A CQ is a one-rule program:
+// the head check (ParseHead) and the body scanner (ScanBody) are the ones the
+// Datalog program parser uses, so the two front-ends accept the same rules.
 func Parse(s string) (*CQ, error) {
 	s = strings.TrimSpace(strings.TrimSuffix(strings.TrimSpace(s), "."))
 	head, body, ok := strings.Cut(s, ":-")
 	if !ok {
 		return nil, fmt.Errorf("query %q: missing ':-'", s)
 	}
-	name, headVars, err := parseAtom(head)
+	name, headVars, err := ParseHead(head)
 	if err != nil {
-		return nil, fmt.Errorf("head: %w", err)
+		return nil, err
 	}
-	for _, v := range headVars {
-		if v == "_" {
-			return nil, fmt.Errorf("head: '_' cannot be a free variable")
-		}
+	full := len(headVars) == 1 && headVars[0] == "*"
+	if !full && slices.Contains(headVars, "*") {
+		return nil, fmt.Errorf("head of %s: '*' is only valid as the sole head term", name)
 	}
-	var atoms []Atom
-	rest := strings.TrimSpace(body)
-	for len(rest) > 0 {
-		close := CloseParen(rest)
-		if close < 0 {
-			return nil, fmt.Errorf("body: unterminated atom in %q", rest)
+	// Every atom ends in a parenthesis; a closing one in a string constant
+	// only over-sizes the slice.
+	atoms := make([]Atom, 0, strings.Count(body, ")"))
+	if _, err := ScanBody(strings.TrimSpace(body), 1, func(text string, negated bool, _ int) error {
+		if negated {
+			return fmt.Errorf("negated atom %s: negation needs a Datalog program", text)
 		}
-		a, err := ParseBodyAtom(rest[:close+1])
+		a, err := parseBodyAtom(text)
 		if err != nil {
-			return nil, fmt.Errorf("body: %w", err)
+			return err
 		}
 		atoms = append(atoms, a)
-		rest = strings.TrimSpace(rest[close+1:])
-		if strings.HasPrefix(rest, ",") {
-			rest = strings.TrimSpace(rest[1:])
-			if rest == "" {
-				return nil, fmt.Errorf("body: trailing comma")
-			}
-		} else if rest != "" {
-			return nil, fmt.Errorf("body: expected ',' before %q", rest)
-		}
-	}
-	if len(atoms) == 0 {
-		return nil, fmt.Errorf("query %q has no atoms", s)
+		return nil
+	}); err != nil {
+		return nil, fmt.Errorf("body: %w", err)
 	}
 	q := NewCQ(name, nil, atoms...)
-	if len(headVars) == 1 && headVars[0] == "*" {
+	if full {
 		return q, nil
 	}
 	all := map[string]bool{}
@@ -140,10 +134,90 @@ func Parse(s string) (*CQ, error) {
 	return q, nil
 }
 
-// CloseParen returns the index of the first ')' in s that does not sit
-// inside a double-quoted string constant, or -1. Exported for the Datalog
-// parser, which shares the atom grammar.
-func CloseParen(s string) int {
+// ParseHead reads a rule head `Name(v1,...,vk)`: distinct variables, with no
+// constants and no `_`. The wildcard `*` passes as a variable; query.Parse
+// accepts it as the sole term (a full query) and the Datalog layer rejects it.
+// Every error names the head.
+func ParseHead(s string) (name string, vars []string, err error) {
+	name, terms, err := ParseAtomTerms(s)
+	if err != nil {
+		return "", nil, fmt.Errorf("head: %w", err)
+	}
+	vars = make([]string, len(terms))
+	for i, t := range terms {
+		switch {
+		case !t.IsVar():
+			return "", nil, fmt.Errorf("head of %s: term %s is not a variable (head terms must be variables)", name, t)
+		case t.Var == "_":
+			return "", nil, fmt.Errorf("head of %s: '_' is not valid in a rule head (every head column needs a name)", name)
+		case slices.Contains(vars[:i], t.Var):
+			return "", nil, fmt.Errorf("repeated variable %s in head of %s", t.Var, name)
+		}
+		vars[i] = t.Var
+	}
+	return name, vars, nil
+}
+
+// ScanBody walks a rule body — atoms separated by commas, each optionally
+// negated by a `not ` or `!` prefix — and calls atom with each atom's text
+// (prefix removed), its negation flag and the 1-based line it starts on,
+// counting from line. It reports an empty body, an unterminated atom, a
+// missing comma and a trailing comma, and passes on the first error atom
+// returns unchanged. With an error it returns the line the error was found
+// on; the Datalog layer prefixes it, query.Parse does not.
+func ScanBody(body string, line int, atom func(text string, negated bool, line int) error) (int, error) {
+	first := line
+	i, line := skipSpace(body, 0, line)
+	if i == len(body) {
+		return first, fmt.Errorf("rule has no body atoms")
+	}
+	for {
+		negated := false
+		if body[i] == '!' {
+			negated = true
+			i, line = skipSpace(body, i+1, line)
+		} else if strings.HasPrefix(body[i:], "not") && i+3 < len(body) && isSpace(body[i+3]) {
+			negated = true
+			i, line = skipSpace(body, i+3, line)
+		}
+		text := body[i:]
+		close := closeParen(text)
+		if close < 0 {
+			return line, fmt.Errorf("unterminated atom in %q", strings.TrimSpace(text))
+		}
+		text = text[:close+1]
+		if err := atom(text, negated, line); err != nil {
+			return line, err
+		}
+		line += strings.Count(text, "\n")
+		i, line = skipSpace(body, i+len(text), line)
+		if i == len(body) {
+			return line, nil
+		}
+		if body[i] != ',' {
+			return line, fmt.Errorf("expected ',' before %q", strings.TrimSpace(body[i:]))
+		}
+		i, line = skipSpace(body, i+1, line)
+		if i == len(body) {
+			return line, fmt.Errorf("trailing comma in rule body")
+		}
+	}
+}
+
+// skipSpace returns the index of the first non-space byte of s at or after i,
+// and line advanced by the newlines it skipped.
+func skipSpace(s string, i, line int) (int, int) {
+	for ; i < len(s) && isSpace(s[i]); i++ {
+		if s[i] == '\n' {
+			line++
+		}
+	}
+	return i, line
+}
+
+// closeParen returns the index of the first ')' in s that does not sit
+// inside a double-quoted string constant, or -1.
+func closeParen(s string) int {
 	inStr := false
 	for i := 0; i < len(s); i++ {
 		switch {
@@ -158,28 +232,11 @@ func CloseParen(s string) int {
 	return -1
 }
 
-// parseAtom reads `Name(v1,v2,...)` where every term must be a variable —
-// the head grammar (constants and predicates belong to body atoms).
-func parseAtom(s string) (name string, vars []string, err error) {
-	name, terms, err := ParseAtomTerms(s)
-	if err != nil {
-		return "", nil, err
-	}
-	vars = make([]string, len(terms))
-	for i, t := range terms {
-		if !t.IsVar() {
-			return "", nil, fmt.Errorf("constant %s in atom %s: constants are not allowed here", t, name)
-		}
-		vars[i] = t.Var
-	}
-	return name, vars, nil
-}
-
-// ParseBodyAtom reads one CQ body atom — `Name(t1,...,tk)` optionally
+// parseBodyAtom reads one CQ body atom — `Name(t1,...,tk)` optionally
 // followed by ` | p1,...,pm` inside the parentheses — and lowers constants,
 // repeated variables, and explicit predicates onto Atom.Preds (see Parse for
-// the grammar). Exported for the Datalog layer, which shares the lowering.
-func ParseBodyAtom(s string) (Atom, error) {
+// the grammar).
+func parseBodyAtom(s string) (Atom, error) {
 	s = strings.TrimSpace(s)
 	open := strings.IndexByte(s, '(')
 	if open <= 0 || !strings.HasSuffix(s, ")") {

@@ -66,6 +66,9 @@ func TestParseErrors(t *testing.T) {
 		"Q(x!) :- R(x!)",      // bad variable
 		"Q() :- R(x)",         // empty head
 		"Q(x) :- (x)",         // empty relation name
+
+		"Q(x1,x1) :- R1(x1,x2), R2(x2,x3)", // repeated head variable
+		"Q(*,x) :- R(x,y)",                 // '*' beside another head term
 	}
 	for _, s := range bad {
 		if _, err := Parse(s); err == nil {

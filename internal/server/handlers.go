@@ -261,9 +261,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/queries/{id}", s.handleGetSession)
 	mux.HandleFunc("GET /v1/queries/{id}/next", s.handleNext)
 	mux.HandleFunc("GET /v1/queries/{id}/stats", s.handleSessionStats)
-	// /v1/sessions/{id}/stats is an alias: sessions are created under
-	// /v1/queries, but monitoring tooling addresses them as sessions.
-	mux.HandleFunc("GET /v1/sessions/{id}/stats", s.handleSessionStats)
 	mux.HandleFunc("DELETE /v1/queries/{id}", s.handleDeleteSession)
 	mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
 	mux.HandleFunc("GET /metrics", s.handlePrometheus)

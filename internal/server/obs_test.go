@@ -74,9 +74,9 @@ func TestSessionStatsEndToEnd(t *testing.T) {
 		t.Fatal("session served no rows")
 	}
 
-	// The stats alias must resolve the same sessions /v1/queries mints.
+	// The stats route serves the session /v1/queries minted.
 	var stats SessionStatsResponse
-	if st := doJSON(t, http.MethodGet, ts.URL+"/v1/sessions/"+open.ID+"/stats", nil, &stats); st != http.StatusOK {
+	if st := doJSON(t, http.MethodGet, ts.URL+"/v1/queries/"+open.ID+"/stats", nil, &stats); st != http.StatusOK {
 		t.Fatalf("session stats: status %d", st)
 	}
 	if !stats.Done || stats.Served != served {

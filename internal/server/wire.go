@@ -215,10 +215,9 @@ type RouteMetrics struct {
 	LatencyP99Seconds float64 `json:"latency_p99_seconds"`
 }
 
-// SessionStatsResponse is the GET /v1/queries/{id}/stats (alias
-// /v1/sessions/{id}/stats) snapshot: the session's phase span tree, its
-// inter-result delay distribution, and the enumerator memory counters behind
-// the paper's MEM(k) analysis.
+// SessionStatsResponse is the GET /v1/queries/{id}/stats snapshot: the
+// session's phase span tree, its inter-result delay distribution, and the
+// enumerator memory counters behind the paper's MEM(k) analysis.
 type SessionStatsResponse struct {
 	ID     string `json:"id"`
 	Served int    `json:"served"`

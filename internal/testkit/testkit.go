@@ -113,6 +113,7 @@ func Diff[W any](t testing.TB, db *relation.DB, q *query.CQ, d dioid.Dioid[W], p
 		ps = []int{1, 4}
 	}
 	ref := Collect(t, db, q, d, core.Batch, 1)
+	Reweigh(t, q.Name+"/Batch", db, q, d, ref)
 	for _, alg := range core.Algorithms {
 		for _, p := range ps {
 			if alg == core.Batch && p == 1 {
@@ -138,6 +139,7 @@ func DiffCached[W any](t testing.TB, db *relation.DB, q *query.CQ, d dioid.Dioid
 	}
 	cache := engine.NewCache(0)
 	ref := Collect(t, db, q, d, core.Batch, 1)
+	Reweigh(t, q.Name+"/Batch", db, q, d, ref)
 	for _, alg := range core.Algorithms {
 		for _, p := range ps {
 			opt := engine.Options{Parallelism: p, Cache: cache}
@@ -173,6 +175,73 @@ func CompareRanked[W any](t testing.TB, label string, d dioid.Dioid[W], got, ref
 		slices.Sort(r)
 		if !slices.Equal(g, r) {
 			SameRows(t, fmt.Sprintf("%s: tie class at ranks %d..%d (weight %v)", label, lo, hi-1, ref[lo].Weight), g, r)
+		}
+	}
+}
+
+// Reweigh asserts that a full CQ's stream answers to the base relations, so
+// that a reference stream is checked, not trusted. For every distinct value
+// vector in rows, the multiset of the rows' weights must equal the multiset
+// of ⊗-products, in atom order, of d.Lift(rel.Weights[r], i, r) over every
+// combination of base rows r, one per atom i, that agree with the vector on
+// the atom's bound columns: bag semantics, the way every route lifts tuple
+// weights. It covers full CQs without predicates; row values are in
+// q.Vars() order, as a full query's iterator emits them.
+func Reweigh[W any](t testing.TB, label string, db *relation.DB, q *query.CQ, d dioid.Dioid[W], rows []core.Row[W]) {
+	t.Helper()
+	if !q.IsFull() {
+		t.Fatalf("%s: Reweigh covers full queries only, got %s", label, q)
+	}
+	pos := map[string]int{}
+	for i, v := range q.Vars() {
+		pos[v] = i
+	}
+	weights := map[string][]W{}
+	for _, row := range rows {
+		k := fmt.Sprint(row.Vals)
+		weights[k] = append(weights[k], row.Weight)
+	}
+	byRank := func(a, b W) int {
+		if d.Less(a, b) {
+			return -1
+		}
+		if d.Less(b, a) {
+			return 1
+		}
+		return 0
+	}
+	for _, row := range rows {
+		k := fmt.Sprint(row.Vals)
+		have, ok := weights[k]
+		if !ok {
+			continue // vector already checked
+		}
+		delete(weights, k)
+		want := []W{d.One()}
+		for i, a := range q.Atoms {
+			if len(a.Preds) > 0 {
+				t.Fatalf("%s: Reweigh covers atoms without predicates, got %s", label, a)
+			}
+			rel := db.Relation(a.Rel)
+			var next []W
+			for r := 0; r < rel.Size(); r++ {
+				agree := true
+				for j, v := range a.Vars {
+					agree = agree && rel.Col(a.VarCol(j))[r] == row.Vals[pos[v]]
+				}
+				if !agree {
+					continue
+				}
+				for _, w := range want {
+					next = append(next, d.Times(w, d.Lift(rel.Weights[r], i, int64(r))))
+				}
+			}
+			want = next
+		}
+		slices.SortFunc(have, byRank)
+		slices.SortFunc(want, byRank)
+		if !slices.EqualFunc(have, want, func(a, b W) bool { return dioid.Eq(d, a, b) }) {
+			t.Fatalf("%s: values %v carry weights %v, the base relations give %v", label, row.Vals, have, want)
 		}
 	}
 }
