@@ -11,6 +11,7 @@ package decomp
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"anyk/internal/dioid"
 	"anyk/internal/dpgraph"
@@ -99,14 +100,28 @@ const (
 	light
 )
 
-// cycleRel is one cycle position's relation, oriented so column 0 holds
-// Vars[i] and column 1 holds Vars[i+1], with per-tuple heaviness of the
-// column-0 value precomputed.
+// cycleRel is one cycle position's relation, oriented so column c0 holds
+// Vars[i] and column c1 holds Vars[i+1], with per-tuple heaviness of the c0
+// value precomputed. An atom without predicates borrows the relation's own
+// value and weight blocks, and ids is nil (row r is the relation's row r); a
+// filtered atom gathers its qualifying rows, and ids keeps their original
+// row ids for Lift. byC0 files every row under its c0 value.
 type cycleRel struct {
-	rows    [][]relation.Value // oriented rows
+	c0, c1  []relation.Value
 	weights []float64
-	ids     []int64 // original row ids (for Lift)
-	isHeavy []bool  // heaviness of rows[i][0] in column 0
+	ids     []int
+	isHeavy []bool
+	byC0    *index
+}
+
+func (cr *cycleRel) size() int { return len(cr.weights) }
+
+// id is row r's row id in the relation the atom reads.
+func (cr *cycleRel) id(r int) int64 {
+	if cr.ids == nil {
+		return int64(r)
+	}
+	return int64(cr.ids[r])
 }
 
 // Decompose splits the cycle query's output into ℓ+1 disjoint trees. The
@@ -129,25 +144,18 @@ func Decompose[W any](d dioid.Dioid[W], db *relation.DB, shape *CycleShape) ([]T
 		// The heavy/light threshold is sized from the *filtered*
 		// cardinalities: predicates shrink the instance the decomposition
 		// actually runs on.
-		if len(cr.rows) > n {
-			n = len(cr.rows)
-		}
+		n = max(n, cr.size())
 		rels[i] = cr
 	}
 	threshold := math.Pow(float64(n), 2/float64(l))
 	for _, cr := range rels {
 		markHeavy(cr, threshold)
 	}
-	var trees []Tree[W]
+	trees := make([]Tree[W], 0, l+1)
 	for i := 0; i < l; i++ {
-		tr, err := heavyTree[W](d, rels, shape, i)
-		if err != nil {
-			return nil, err
-		}
-		trees = append(trees, tr)
+		trees = append(trees, heavyTree[W](d, rels, shape, i))
 	}
-	trees = append(trees, lightTree[W](d, rels, shape))
-	return trees, nil
+	return append(trees, lightTree[W](d, rels, shape)), nil
 }
 
 func orient(r *relation.Relation, a query.Atom, firstVar string) (*cycleRel, error) {
@@ -155,52 +163,40 @@ func orient(r *relation.Relation, a query.Atom, firstVar string) (*cycleRel, err
 	if err != nil {
 		return nil, err
 	}
-	flip := a.Vars[0] != firstVar
 	c0, c1 := a.VarCol(0), a.VarCol(1)
-	if flip {
+	if a.Vars[0] != firstVar {
 		c0, c1 = c1, c0
 	}
-	// Qualifying row ids, ascending (nil = every row). Keeping original ids
-	// in cr.ids preserves Lift row identity for tie-breaking dioids.
+	cr := &cycleRel{c0: r.Col(c0), c1: r.Col(c1), weights: r.Weights}
+	// Qualifying row ids, ascending (nil = every row).
 	ids := r.FilterScan(preds)
-	n := r.Size()
-	if ids != nil {
-		n = len(ids)
+	if ids == nil {
+		return cr, nil
 	}
-	cr := &cycleRel{
-		rows:    make([][]relation.Value, n),
-		weights: make([]float64, n),
-		ids:     make([]int64, n),
-		isHeavy: make([]bool, n),
-	}
-	// One flat backing block for all oriented rows: two column reads per row
-	// off the relation's contiguous blocks, no per-row allocation.
+	n := len(ids)
 	flat := make([]relation.Value, 2*n)
-	col0, col1 := r.Col(c0), r.Col(c1)
-	for i := 0; i < n; i++ {
-		s := i
-		if ids != nil {
-			s = ids[i]
-		}
-		row := flat[2*i : 2*i+2 : 2*i+2]
-		row[0], row[1] = col0[s], col1[s]
-		cr.rows[i] = row
-		cr.ids[i] = int64(s)
-		cr.weights[i] = r.Weights[s]
+	col0, col1, weights := cr.c0, cr.c1, cr.weights
+	cr.c0, cr.c1, cr.weights, cr.ids = flat[:n:n], flat[n:], make([]float64, n), ids
+	for i, s := range ids {
+		cr.c0[i], cr.c1[i], cr.weights[i] = col0[s], col1[s], weights[s]
 	}
 	return cr, nil
 }
 
-// markHeavy flags tuples whose first-column value occurs at least threshold
-// times (Section 5.3.1: "t.Ai occurs at least n^(2/ℓ) times in column
-// Ri.Ai").
+// markHeavy files the rows by their c0 value and flags those whose value
+// occurs at least threshold times (Section 5.3.1: "t.Ai occurs at least
+// n^(2/ℓ) times in column Ri.Ai"): a window of byC0 is all heavy or all
+// light.
 func markHeavy(cr *cycleRel, threshold float64) {
-	count := map[relation.Value]int{}
-	for _, row := range cr.rows {
-		count[row[0]]++
-	}
-	for i, row := range cr.rows {
-		cr.isHeavy[i] = float64(count[row[0]]) >= threshold
+	cr.byC0 = newIndex(cr.size(), nil, cr.c0)
+	cr.isHeavy = make([]bool, cr.size())
+	for g := range cr.byC0.groups() {
+		rows := cr.byC0.window(int32(g))
+		if float64(len(rows)) >= threshold {
+			for _, r := range rows {
+				cr.isHeavy[r] = true
+			}
+		}
 	}
 }
 
@@ -213,6 +209,31 @@ func use(cr *cycleRel, r int, p part) bool {
 		return !cr.isHeavy[r]
 	}
 	return true
+}
+
+// find returns the window of x (an index over every row of cr whose key
+// starts with c0) for key, or -1 when there is none or its rows lie outside
+// slice p. Heaviness belongs to the c0 value, so a window lies wholly inside
+// a slice or wholly outside it.
+func (cr *cycleRel) find(x *index, p part, key ...relation.Value) int32 {
+	g := x.find(key...)
+	if g >= 0 && !use(cr, int(x.window(g)[0]), p) {
+		return -1
+	}
+	return g
+}
+
+// heavyVals lists the heavy c0 values in order of first appearance, the
+// order of their windows in byC0: bag row order must be deterministic
+// across compiles so that equal-weight results keep a stable tie order.
+func (cr *cycleRel) heavyVals() []relation.Value {
+	var vals []relation.Value
+	for g := range cr.byC0.groups() {
+		if r := cr.byC0.window(int32(g))[0]; cr.isHeavy[r] {
+			vals = append(vals, cr.c0[r])
+		}
+	}
+	return vals
 }
 
 // partOf returns the slice of cycle position j used by heavy partition i:
@@ -232,107 +253,120 @@ func partOf(i, j int) part {
 // ℓ-2 bags, all containing the heavy variable x_i. Bag 0 joins R_i ⋈ R_{i+1};
 // middle bag j is heavyValues(x_i) × R_{i+j+1}; the last bag joins
 // R_{i+ℓ-2} ⋈ R_{i+ℓ-1} (which closes the cycle back to x_i).
-func heavyTree[W any](d dioid.Dioid[W], rels []*cycleRel, shape *CycleShape, i int) (Tree[W], error) {
+func heavyTree[W any](d dioid.Dioid[W], rels []*cycleRel, shape *CycleShape, i int) Tree[W] {
 	l := len(rels)
 	at := func(j int) int { return (i + j) % l }
 	v := func(j int) string { return shape.Vars[at(j)] }
-	lift := func(j, row int) W {
-		return d.Lift(rels[at(j)].weights[row], shape.Atoms[at(j)], rels[at(j)].ids[row])
+	lift := func(j int, row int32) W {
+		cr := rels[at(j)]
+		return d.Lift(cr.weights[row], shape.Atoms[at(j)], cr.id(int(row)))
 	}
-	// Heavy values of x_i present in R_i's heavy slice, in first-appearance
-	// order: bag row order must be deterministic across compiles so that
-	// equal-weight results keep a stable tie order (iterating the dedup map
-	// here made repeated enumerations of the same database disagree on ties).
-	seen := map[relation.Value]bool{}
-	var heavyVals []relation.Value
 	cri := rels[i]
-	for r, row := range cri.rows {
-		if cri.isHeavy[r] && !seen[row[0]] {
-			seen[row[0]] = true
-			heavyVals = append(heavyVals, row[0])
-		}
-	}
 	tr := Tree[W]{Name: fmt.Sprintf("T%d[heavy %s]", i+1, v(0))}
 	if l == 3 {
 		// Degenerate: one bag joining all three relations.
-		in := dpgraph.StageInput[W]{
-			Name: "B0", Vars: []string{v(0), v(1), v(2)}, Parent: -1,
-		}
-		idx1 := indexByCol0(rels[at(1)], partOf(i, at(1)))
-		idx2 := indexByPair(rels[at(2)], partOf(i, at(2)))
-		for r0, row0 := range cri.rows {
-			if !cri.isHeavy[r0] {
-				continue
-			}
-			for _, r1 := range idx1[row0[1]] {
-				row1 := rels[at(1)].rows[r1]
-				for _, r2 := range idx2[pair{row1[1], row0[0]}] {
-					w := d.Times(lift(0, r0), d.Times(lift(1, r1), lift(2, r2)))
-					in.Rows = append(in.Rows, []relation.Value{row0[0], row0[1], row1[1]})
-					in.Weights = append(in.Weights, w)
+		r1, r2 := rels[at(1)], rels[at(2)]
+		p1, p2 := partOf(i, at(1)), partOf(i, at(2))
+		idx2 := newIndex(r2.size(), nil, r2.c0, r2.c1)
+		b := newBag[W]("B0", []string{v(0), v(1), v(2)}, -1, cri.size())
+		tr.Inputs = []dpgraph.StageInput[W]{b.run(func() {
+			for r0 := range int32(cri.size()) {
+				if !cri.isHeavy[r0] {
+					continue
+				}
+				for _, a := range r1.byC0.window(b.probe(func() int32 { return r1.find(r1.byC0, p1, cri.c1[r0]) })) {
+					rows := idx2.window(b.probe(func() int32 { return r2.find(idx2, p2, r1.c1[a], cri.c0[r0]) }))
+					if !b.fill(len(rows)) {
+						continue
+					}
+					for _, c := range rows {
+						b.put(d.Times(lift(0, r0), d.Times(lift(1, a), lift(2, c))), cri.c0[r0], cri.c1[r0], r1.c1[a])
+					}
 				}
 			}
-		}
-		tr.Inputs = []dpgraph.StageInput[W]{in}
-		return tr, nil
+		})}
+		return tr
 	}
+	heavyVals := cri.heavyVals()
 	nbags := l - 2
-	for b := 0; b < nbags; b++ {
-		in := dpgraph.StageInput[W]{
-			Name:   fmt.Sprintf("B%d", b),
-			Vars:   []string{v(0), v(b + 1), v(b + 2)},
-			Parent: b - 1,
-		}
-		switch b {
+	tr.Inputs = make([]dpgraph.StageInput[W], nbags)
+	for bi := range nbags {
+		vars := []string{v(0), v(bi + 1), v(bi + 2)}
+		switch bi {
 		case 0:
-			// R_i ⋈ R_{i+1} restricted to heavy x_i: iterate heavy values ×
-			// R_{i+1} tuples, verifying membership in R_i by hash.
-			idx0 := indexByPair(cri, heavy)
-			p1 := partOf(i, at(1))
-			for r1, row1 := range rels[at(1)].rows {
-				if !use(rels[at(1)], r1, p1) {
-					continue
-				}
-				for _, h := range heavyVals {
-					for _, r0 := range idx0[pair{h, row1[0]}] {
-						w := d.Times(lift(0, r0), lift(1, r1))
-						in.Rows = append(in.Rows, []relation.Value{h, row1[0], row1[1]})
-						in.Weights = append(in.Weights, w)
+			// R_i ⋈ R_{i+1} restricted to heavy x_i: the heavy rows of R_i
+			// under their c1, probed by every R_{i+1} tuple.
+			r1, p1 := rels[at(1)], partOf(i, at(1))
+			idx0 := heavyIndex(cri, heavy, cri.c0, cri.c1, cri)
+			b := newBag[W]("B0", vars, -1, r1.size())
+			tr.Inputs[bi] = b.run(func() {
+				for a := range int32(r1.size()) {
+					if !use(r1, int(a), p1) {
+						continue
+					}
+					rows := idx0.window(b.probe(func() int32 { return idx0.find(r1.c0[a]) }))
+					if !b.fill(len(rows)) {
+						continue
+					}
+					for _, r0 := range rows {
+						b.put(d.Times(lift(0, r0), lift(1, a)), cri.c0[r0], r1.c0[a], r1.c1[a])
 					}
 				}
-			}
+			})
 		case nbags - 1:
-			// R_{i+ℓ-2} ⋈ R_{i+ℓ-1}, closing back to the heavy variable.
-			pm := partOf(i, at(l-2))
-			idxLast := indexByPair(rels[at(l-1)], partOf(i, at(l-1)))
-			for rm, rowm := range rels[at(l-2)].rows {
-				if !use(rels[at(l-2)], rm, pm) {
-					continue
-				}
-				for _, h := range heavyVals {
-					for _, rl := range idxLast[pair{rowm[1], h}] {
-						w := d.Times(lift(l-2, rm), lift(l-1, rl))
-						in.Rows = append(in.Rows, []relation.Value{h, rowm[0], rowm[1]})
-						in.Weights = append(in.Weights, w)
+			// R_{i+ℓ-2} ⋈ R_{i+ℓ-1}, closing back to the heavy variable: the
+			// rows of R_{i+ℓ-1} ending in a heavy value, under their c0.
+			rm, pm := rels[at(l-2)], partOf(i, at(l-2))
+			rl := rels[at(l-1)]
+			idxLast := heavyIndex(rl, partOf(i, at(l-1)), rl.c1, rl.c0, cri)
+			b := newBag[W](fmt.Sprintf("B%d", bi), vars, bi-1, rm.size())
+			tr.Inputs[bi] = b.run(func() {
+				for a := range int32(rm.size()) {
+					if !use(rm, int(a), pm) {
+						continue
+					}
+					rows := idxLast.window(b.probe(func() int32 { return idxLast.find(rm.c1[a]) }))
+					if !b.fill(len(rows)) {
+						continue
+					}
+					for _, r := range rows {
+						b.put(d.Times(lift(l-2, a), lift(l-1, r)), rl.c1[r], rm.c0[a], rm.c1[a])
 					}
 				}
-			}
+			})
 		default:
 			// Cross product of heavy values with R_{i+b+1}.
-			pj := partOf(i, at(b+1))
-			for rj, rowj := range rels[at(b+1)].rows {
-				if !use(rels[at(b+1)], rj, pj) {
-					continue
+			rj, pj := rels[at(bi+1)], partOf(i, at(bi+1))
+			b := newBag[W](fmt.Sprintf("B%d", bi), vars, bi-1, 0)
+			tr.Inputs[bi] = b.run(func() {
+				for a := range int32(rj.size()) {
+					if !use(rj, int(a), pj) || !b.fill(len(heavyVals)) {
+						continue
+					}
+					for _, h := range heavyVals {
+						b.put(lift(bi+1, a), h, rj.c0[a], rj.c1[a])
+					}
 				}
-				for _, h := range heavyVals {
-					in.Rows = append(in.Rows, []relation.Value{h, rowj[0], rowj[1]})
-					in.Weights = append(in.Weights, lift(b+1, rj))
-				}
-			}
+			})
 		}
-		tr.Inputs = append(tr.Inputs, in)
 	}
-	return tr, nil
+	return tr
+}
+
+// heavyIndex files the rows r of cr in slice p whose val[r] is a heavy c0
+// value of hr (a heavy value of the tree's x_i) under key[r], ordered by the
+// rank of val[r] among hr's heavy values and then by row. That is the order
+// in which a probe pairing key[r] with every heavy value in turn meets them.
+func heavyIndex(cr *cycleRel, p part, val, key []relation.Value, hr *cycleRel) *index {
+	rank := make([]int32, cr.size())
+	for r := range rank {
+		rank[r] = -1
+		if use(cr, r, p) {
+			rank[r] = hr.find(hr.byC0, heavy, val[r])
+		}
+	}
+	_, rows := file(rank, hr.byC0.groups(), nil)
+	return newIndex(cr.size(), rows, key)
 }
 
 // lightTree materializes the all-light decomposition: two bags obtained by
@@ -350,8 +384,8 @@ func lightTree[W any](d dioid.Dioid[W], rels []*cycleRel, shape *CycleShape) Tre
 }
 
 // chainBag joins count consecutive light relations starting at cycle
-// position start via hash chain joins, producing rows over the count+1
-// variables x_start..x_{start+count}.
+// position start, probing each relation's byC0 with the previous one's c1,
+// producing rows over the count+1 variables x_start..x_{start+count}.
 func chainBag[W any](d dioid.Dioid[W], rels []*cycleRel, shape *CycleShape, start, count int) dpgraph.StageInput[W] {
 	l := len(rels)
 	at := func(j int) int { return (start + j) % l }
@@ -359,70 +393,181 @@ func chainBag[W any](d dioid.Dioid[W], rels []*cycleRel, shape *CycleShape, star
 	for j := 0; j <= count; j++ {
 		vars[j] = shape.Vars[at(j)]
 	}
-	in := dpgraph.StageInput[W]{Vars: vars}
-	idx := make([]map[relation.Value][]int, count)
-	for j := 1; j < count; j++ {
-		idx[j] = indexByCol0(rels[at(j)], light)
-	}
+	first := rels[at(0)]
+	b := newBag[W]("", vars, 0, first.size())
 	vals := make([]relation.Value, count+1)
-	var rec func(j int, w W)
-	rec = func(j int, w W) {
-		if j == count {
-			in.Rows = append(in.Rows, append([]relation.Value(nil), vals...))
-			in.Weights = append(in.Weights, w)
+	// step extends the chain, whose weight so far is w, by row r of its
+	// relation j.
+	var step func(j int, r int32, w W)
+	step = func(j int, r int32, w W) {
+		cr := rels[at(j)]
+		vals[j+1] = cr.c1[r]
+		if b.filling {
+			w = d.Times(w, d.Lift(cr.weights[r], shape.Atoms[at(j)], cr.id(int(r))))
+		}
+		if j+1 == count {
+			if b.fill(1) {
+				b.put(w, vals...)
+			}
 			return
 		}
-		cr := rels[at(j)]
-		var rows []int
-		if j == 0 {
-			for r := range cr.rows {
-				if !cr.isHeavy[r] {
-					rows = append(rows, r)
-				}
-			}
-		} else {
-			rows = idx[j][vals[j]]
+		next := rels[at(j+1)]
+		rows := next.byC0.window(b.probe(func() int32 { return next.find(next.byC0, light, vals[j+1]) }))
+		if j+2 == count && !b.fill(len(rows)) {
+			return
 		}
 		for _, r := range rows {
-			if j == 0 {
-				vals[0] = cr.rows[r][0]
-			} else if cr.rows[r][0] != vals[j] {
-				continue
+			step(j+1, r, w)
+		}
+	}
+	return b.run(func() {
+		for r := range int32(first.size()) {
+			if !first.isHeavy[r] {
+				vals[0] = first.c0[r]
+				step(0, r, d.One())
 			}
-			vals[j+1] = cr.rows[r][1]
-			wr := d.Lift(cr.weights[r], shape.Atoms[at(j)], cr.ids[r])
-			rec(j+1, d.Times(w, wr))
 		}
-	}
-	rec(0, d.One())
-	return in
+	})
 }
 
-type pair struct{ a, b relation.Value }
-
-// indexByCol0 hashes row ids of the requested slice by their first column.
-// partitionIdx is only used for the heavy/light decision context (-1 = plain
-// light).
-func indexByCol0(cr *cycleRel, p part) map[relation.Value][]int {
-	idx := map[relation.Value][]int{}
-	for r, row := range cr.rows {
-		if !use(cr, r, p) {
-			continue
-		}
-		idx[row[0]] = append(idx[row[0]], r)
-	}
-	return idx
+// bag builds one stage input in two passes over the same join. The counting
+// pass measures the rows and records the window every probe matched; the
+// filling pass allocates the columns at their exact length, replays the
+// recorded windows instead of probing again, and writes the rows.
+type bag[W any] struct {
+	in      dpgraph.StageInput[W]
+	filling bool
+	n       int     // rows counted, then rows written
+	wins    []int32 // every probe's window, in probe order
+	next    int     // the next window to replay
 }
 
-// indexByPair hashes row ids of the requested slice by both columns.
-func indexByPair(cr *cycleRel, p part) map[pair][]int {
-	idx := map[pair][]int{}
-	for r, row := range cr.rows {
-		if !use(cr, r, p) {
-			continue
-		}
-		k := pair{row[0], row[1]}
-		idx[k] = append(idx[k], r)
+// newBag starts a bag; probes sizes the window record (it grows past that).
+func newBag[W any](name string, vars []string, parent, probes int) *bag[W] {
+	return &bag[W]{
+		in:   dpgraph.StageInput[W]{Name: name, Vars: vars, Parent: parent},
+		wins: make([]int32, 0, probes),
 	}
-	return idx
+}
+
+// run calls join to count the rows, allocates the columns (one block) and
+// the weights, and calls join again to fill them.
+func (b *bag[W]) run(join func()) dpgraph.StageInput[W] {
+	join()
+	n, k := b.n, len(b.in.Vars)
+	flat := make([]relation.Value, n*k)
+	b.in.Cols = make([][]relation.Value, k)
+	for c := range b.in.Cols {
+		b.in.Cols[c] = flat[c*n : (c+1)*n : (c+1)*n]
+	}
+	b.in.Weights = make([]W, n)
+	b.filling, b.n = true, 0
+	join()
+	return b.in
+}
+
+// probe returns the window find matches: found and recorded when counting,
+// replayed when filling.
+func (b *bag[W]) probe(find func() int32) int32 {
+	if b.filling {
+		b.next++
+		return b.wins[b.next-1]
+	}
+	g := find()
+	b.wins = append(b.wins, g)
+	return g
+}
+
+// fill reports whether the caller is to write its next rows (rows of them):
+// the filling pass writes them, the counting pass only adds them up.
+func (b *bag[W]) fill(rows int) bool {
+	if !b.filling {
+		b.n += rows
+	}
+	return b.filling
+}
+
+// put writes the next row.
+func (b *bag[W]) put(w W, vals ...relation.Value) {
+	for c, v := range vals {
+		b.in.Cols[c][b.n] = v
+	}
+	b.in.Weights[b.n] = w
+	b.n++
+}
+
+// index files rows of a cycle relation under a key through a
+// dpgraph.KeyTable: window g lists the rows whose key the table numbered g,
+// in the order they were filed (a CSR of starts and members).
+type index struct {
+	kt      dpgraph.KeyTable
+	starts  []int32
+	members []int32
+	probes  [][]relation.Value // one-row key columns for find
+}
+
+// newIndex files the listed rows (every row ascending when rows is nil)
+// under their key: their values in the n-row key columns.
+func newIndex(n int, rows []int32, keys ...[]relation.Value) *index {
+	x := &index{probes: make([][]relation.Value, len(keys))}
+	probe := make([]relation.Value, len(keys))
+	for c := range keys {
+		x.probes[c] = probe[c : c+1 : c+1]
+	}
+	gid, ngroups := x.kt.Group(keys, n)
+	x.starts, x.members = file(gid, ngroups, rows)
+	return x
+}
+
+func (x *index) groups() int { return len(x.starts) - 1 }
+
+// find returns the window of the key (one value per key column), or -1.
+func (x *index) find(key ...relation.Value) int32 {
+	for c, v := range key {
+		x.probes[c][0] = v
+	}
+	return x.kt.Lookup(x.probes, 0)
+}
+
+// window returns the rows of window g (none for -1).
+func (x *index) window(g int32) []int32 {
+	if g < 0 {
+		return nil
+	}
+	return x.members[x.starts[g]:x.starts[g+1]]
+}
+
+// file counting-sorts rows by group: members[starts[g]:starts[g+1]] lists,
+// in the order of rows (every row ascending when rows is nil), the rows r
+// with gid[r] == g; rows in group -1 are left out.
+func file(gid []int32, ngroups int, rows []int32) (starts, members []int32) {
+	each := func(f func(r int32)) {
+		if rows == nil {
+			for r := range int32(len(gid)) {
+				f(r)
+			}
+			return
+		}
+		for _, r := range rows {
+			f(r)
+		}
+	}
+	starts = make([]int32, ngroups+1)
+	each(func(r int32) {
+		if g := gid[r]; g >= 0 {
+			starts[g+1]++
+		}
+	})
+	for g := range ngroups {
+		starts[g+1] += starts[g]
+	}
+	members = make([]int32, starts[ngroups])
+	next := slices.Clone(starts[:ngroups])
+	each(func(r int32) {
+		if g := gid[r]; g >= 0 {
+			members[next[g]] = r
+			next[g]++
+		}
+	})
+	return starts, members
 }

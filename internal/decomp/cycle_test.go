@@ -3,6 +3,7 @@ package decomp
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -259,15 +260,24 @@ func TestHeavyLightThreshold(t *testing.T) {
 	}
 	markHeavy(cr, 10) // threshold n^(2/4) = 10
 	heavyCount := 0
-	for i := range cr.rows {
+	for i := range cr.size() {
 		if cr.isHeavy[i] {
 			heavyCount++
-			if cr.rows[i][0] != 0 {
-				t.Fatalf("non-zero value marked heavy: %v", cr.rows[i])
+			if cr.c0[i] != 0 {
+				t.Fatalf("non-zero value marked heavy: row %d = (%d, %d)", i, cr.c0[i], cr.c1[i])
 			}
 		}
 	}
 	if heavyCount != n/2 {
 		t.Fatalf("heavy count = %d, want %d", heavyCount, n/2)
+	}
+	// The degree count is byC0's window: value 0's window holds its n/2
+	// rows in ascending order, and heavyVals lists value 0 alone.
+	rows := cr.byC0.window(cr.byC0.find(0))
+	if len(rows) != n/2 || !slices.IsSorted(rows) {
+		t.Fatalf("window of value 0 = %v, want %d ascending rows", rows, n/2)
+	}
+	if hv := cr.heavyVals(); !slices.Equal(hv, []relation.Value{0}) {
+		t.Fatalf("heavyVals = %v, want [0]", hv)
 	}
 }

@@ -202,10 +202,10 @@ func Build[W any](d dioid.Dioid[W], inputs []StageInput[W], outVars []string) (*
 	}
 	// Group every stage by its join key and point the parent's states at
 	// the groups while the stage's key table is still at hand.
-	var kt keyTable
+	var kt KeyTable
 	for _, st := range g.Stages[1:] {
 		parent := g.Stages[st.Parent]
-		st.buildGroups(kt.group(pick(st.Cols, st.JoinCols), st.N))
+		st.buildGroups(kt.Group(pick(st.Cols, st.JoinCols), st.N))
 		kt.link(pick(parent.Cols, st.ParentJoinCols), parent.N, parent.Links, len(parent.ChildStages), st.Branch)
 	}
 	if err := g.buildOutput(outVars); err != nil {

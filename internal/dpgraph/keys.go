@@ -12,15 +12,16 @@ const (
 	denseFloor = 1024
 )
 
-// keyTable numbers the distinct join keys of one stage (group) and then
-// resolves the parent's keys to those numbers (link). Keys are never boxed:
-// when the columns' value ranges are narrow the key packs into an offset
-// into a direct-address table; otherwise it goes through an open-addressing
-// table keyed by the value itself (one column) or by a 64-bit hash of the
-// values that a comparison against the group's first row confirms (several
-// columns). One keyTable serves a whole Build; its arrays are reused from
-// stage to stage.
-type keyTable struct {
+// KeyTable numbers the distinct keys of a set of rows (Group) and then
+// resolves other rows' keys to those numbers (Lookup; Build links a parent
+// stage's states this way). Keys are never boxed: when the columns' value
+// ranges are narrow the key packs into an offset into a direct-address
+// table; otherwise it goes through an open-addressing table keyed by the
+// value itself (one column) or by a 64-bit hash of the values that a
+// comparison against the group's first row confirms (several columns). One
+// KeyTable serves a whole Build; its arrays are reused from stage to stage.
+// The zero value is ready to use.
+type KeyTable struct {
 	cols    [][]Value // the stage's key columns
 	ngroups int
 	gid     []int32 // group of every row of the stage
@@ -41,10 +42,10 @@ type keyTable struct {
 	first []int32
 }
 
-// group numbers the keys of the n rows of cols in order of first appearance
+// Group numbers the keys of the n rows of cols in order of first appearance
 // and returns every row's number (in scratch the next call reuses) and how
-// many there are.
-func (t *keyTable) group(cols [][]Value, n int) (gid []int32, ngroups int) {
+// many there are. The table keeps cols for Lookup.
+func (t *KeyTable) Group(cols [][]Value, n int) (gid []int32, ngroups int) {
 	t.cols, t.ngroups, t.dense = cols, 0, false
 	t.gid = grow(t.gid, n)
 	if len(cols) == 0 || n == 0 {
@@ -95,13 +96,15 @@ func (t *keyTable) group(cols [][]Value, n int) (gid []int32, ngroups int) {
 // link resolves the key of each of the parent's n states, read from pcols,
 // to the stage's group number (-1 when no row of the stage has that key) and
 // stores it at links[s*stride+b].
-func (t *keyTable) link(pcols [][]Value, n int, links []int32, stride, b int) {
+func (t *KeyTable) link(pcols [][]Value, n int, links []int32, stride, b int) {
 	for s := 0; s < n; s++ {
-		links[s*stride+b] = t.lookup(pcols, s)
+		links[s*stride+b] = t.Lookup(pcols, s)
 	}
 }
 
-func (t *keyTable) lookup(pcols [][]Value, s int) int32 {
+// Lookup returns the group number of the key at row s of pcols (one column
+// per key column of the last Group), or -1 when no grouped row has that key.
+func (t *KeyTable) Lookup(pcols [][]Value, s int) int32 {
 	switch {
 	case t.ngroups == 0:
 		return -1
@@ -119,7 +122,7 @@ func (t *keyTable) lookup(pcols [][]Value, s int) int32 {
 
 // ranges measures the key columns' value ranges and reports the size of the
 // direct-address table they need, when that is small enough to use one.
-func (t *keyTable) ranges(n int) (int, bool) {
+func (t *KeyTable) ranges(n int) (int, bool) {
 	limit := uint64(denseSlack*n + denseFloor)
 	t.mins, t.spans = t.mins[:0], t.spans[:0]
 	size := uint64(1)
@@ -142,7 +145,7 @@ func (t *keyTable) ranges(n int) (int, bool) {
 
 // pack returns row r's offset into the direct-address table; ok is false
 // when a value lies outside the stage's ranges (only a parent's can).
-func (t *keyTable) pack(cols [][]Value, r int) (code uint64, ok bool) {
+func (t *KeyTable) pack(cols [][]Value, r int) (code uint64, ok bool) {
 	for i, col := range cols {
 		d := uint64(col[r]) - uint64(t.mins[i])
 		if d > t.spans[i] {
@@ -169,7 +172,7 @@ func hashKey(cols [][]Value, r int) uint64 {
 
 // probe returns the slot holding the key of row r of cols, or the free slot
 // where it belongs.
-func (t *keyTable) probe(key uint64, cols [][]Value, r int) int {
+func (t *KeyTable) probe(key uint64, cols [][]Value, r int) int {
 	mask := len(t.slots) - 1
 	for i := int((key * 0x9E3779B97F4A7C15) >> t.shift); ; i = (i + 1) & mask {
 		g := t.slots[i]
@@ -180,7 +183,7 @@ func (t *keyTable) probe(key uint64, cols [][]Value, r int) int {
 }
 
 // sameKey compares the stage's key at its row a with cols' key at row r.
-func (t *keyTable) sameKey(a int, cols [][]Value, r int) bool {
+func (t *KeyTable) sameKey(a int, cols [][]Value, r int) bool {
 	for i, col := range t.cols {
 		if col[a] != cols[i][r] {
 			return false

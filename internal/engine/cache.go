@@ -208,6 +208,8 @@ type prepared[W any] struct {
 // BooleanQuery — goes through it. The returned key is the plan cache key
 // ("" when caching is off); cachedGraphs derives its key from it. hit
 // reports whether the plan came out of the cache (always false without one).
+// A fresh plan is not stored here: Enumerate publishes it once its graphs
+// are built, so a query whose lowering fails leaves nothing in the cache.
 func prepare[W any](db *relation.DB, q *query.CQ, d dioid.Dioid[W], opt Options) (p *prepared[W], key string, hit bool, err error) {
 	if opt.Cache != nil {
 		key = planCacheKey(db, q, d, opt.Semantics)
@@ -222,9 +224,6 @@ func prepare[W any](db *relation.DB, q *query.CQ, d dioid.Dioid[W], opt Options)
 	}
 	if p.types, p.dicts, err = typedSchema(db, q, p.outVars); err != nil {
 		return nil, "", false, err
-	}
-	if key != "" {
-		opt.Cache.store(key+"|plan", p)
 	}
 	return p, key, false, nil
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"anyk/internal/core"
+	"anyk/internal/dataset"
 	"anyk/internal/dioid"
 	"anyk/internal/engine"
 	"anyk/internal/query"
@@ -260,5 +261,28 @@ func TestCachedProjectionSemantics(t *testing.T) {
 		want := testkit.CollectOpt(t, db, q, dioid.Tropical{}, core.Take2, engine.Options{Parallelism: 1, Semantics: sem})
 		testkit.CompareRanked(t, "projection cold "+sem.String(), dioid.Tropical{}, cold, want)
 		testkit.CompareRanked(t, "projection warm "+sem.String(), dioid.Tropical{}, warm, want)
+	}
+}
+
+// TestCacheFailedBuildStoresNothing: a query whose plan compiles but whose
+// graphs fail to build (here a head listing x1 twice, which dpgraph.Build
+// rejects) is answered with an error and leaves no entry in the cache.
+func TestCacheFailedBuildStoresNothing(t *testing.T) {
+	q := query.NewCQ("Q", []string{"x1", "x1"}, query.PathQuery(2).Atoms...)
+	db := dataset.Uniform(2, 2000, 5)
+	cache := engine.NewCache(8)
+	for trial := 0; trial < 2; trial++ {
+		if _, err := engine.Enumerate[float64](db, q, dioid.Tropical{}, core.Take2, engine.Options{Parallelism: 1, Cache: cache}); err == nil {
+			t.Fatal("Enumerate accepted a head listing x1 twice")
+		}
+		if s := cache.Stats(); s.Entries != 0 {
+			t.Fatalf("trial %d: stats %+v after a failed build, want no entries", trial, s)
+		}
+	}
+	if _, err := engine.CountResults(db, q); err == nil {
+		t.Fatal("CountResults accepted a head listing x1 twice")
+	}
+	if s := cache.Stats(); s.Entries != 0 {
+		t.Fatalf("stats %+v after CountResults, want no entries", s)
 	}
 }

@@ -277,6 +277,9 @@ func Enumerate[W any](db *relation.DB, q *query.CQ, d dioid.Dioid[W], alg core.A
 	if err != nil {
 		return nil, fmt.Errorf("query %s: %s plan (width %d) did not lower: %w", q.Name, prep.plan.Route, prep.plan.Width, err)
 	}
+	if planKey != "" && !hit {
+		opt.Cache.store(planKey+"|plan", prep)
+	}
 	it.Types, it.dicts = prep.types, prep.dicts
 	info := prep.plan // copy the cached skeleton before stamping per-run fields
 	info.Trees = it.Trees
