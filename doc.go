@@ -14,8 +14,8 @@
 //   - internal/hypertree — the generalized hypertree decomposition (GHD)
 //     planner for arbitrary cyclic full CQs (cliques, triangles with
 //     appendages, chordal cycles, ...)
-//   - internal/join — NPRR generic join, Yannakakis, hash-join and rank-join
-//     baselines
+//   - internal/join — NPRR generic join and Yannakakis, the batch joins the
+//     tests use as oracles
 //   - internal/datalog — the Datalog program front-end: multi-rule parsing
 //     (comments, string/float constants, negation), predicate-dependency
 //     stratification, bottom-up materialization of non-recursive rules and
@@ -40,10 +40,10 @@
 //   - internal/loadgen — closed- and open-loop (coordinated-omission-
 //     corrected) load drivers over the anykd API; cmd/loadgen runs them
 //   - internal/query, internal/relation, internal/dioid, internal/heapq,
-//     internal/dataset, internal/homom, internal/bench — substrates
+//     internal/dataset, internal/homom — substrates
 //
-// See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-// reproduced evaluation. cmd/experiments prints every figure and table;
-// the benchmark/ module is the one gated performance measurement;
+// See DESIGN.md for the system inventory and EXPERIMENTS.md for where each
+// claim of the paper's evaluation is checked: a tier-1 test, or a metric of
+// the benchmark/ module, the one performance measurement.
 // examples/httpservice walks through the HTTP API.
 package anyk

@@ -3,6 +3,7 @@ package datalog
 import (
 	"fmt"
 	"strings"
+	"unicode"
 
 	"anyk/internal/query"
 )
@@ -78,24 +79,16 @@ func splitStatements(src string) ([]statement, error) {
 	start, startLine := 0, 1
 	depth := 0
 	inStr := false
-	// flush emits clean[start:end] as a statement, with leading whitespace
-	// stripped and the start line advanced past it, so later offsets within
-	// the statement count newlines from its first token.
+	// flush emits clean[start:end] as a statement, with leading space (the
+	// grammar's Unicode class) stripped and the start line advanced past it,
+	// so later offsets within the statement count newlines from its first
+	// token.
 	flush := func(end int) {
 		text := clean[start:end]
-		ln := startLine
-		i := 0
-		for i < len(text) {
-			c := text[i]
-			if c == '\n' {
-				ln++
-			} else if c != ' ' && c != '\t' && c != '\r' {
-				break
-			}
-			i++
-		}
-		if i < len(text) {
-			stmts = append(stmts, statement{text: text[i:], line: ln})
+		rest := strings.TrimLeftFunc(text, unicode.IsSpace)
+		if rest != "" {
+			ln := startLine + strings.Count(text[:len(text)-len(rest)], "\n")
+			stmts = append(stmts, statement{text: rest, line: ln})
 		}
 	}
 	for i := 0; i < len(clean); i++ {

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"unicode"
 
 	"anyk/internal/query"
 )
@@ -98,13 +99,57 @@ func refCloseParen(s string) int {
 }
 
 // bodyVerdictChanges is FuzzParseBodyMatchesRef's allow-list: inputs on which
-// parseBody departs from refParseBody on purpose. It is empty: sharing the
-// scanner changed no verdict of the program grammar. An entry names the
-// change and matches the inputs it covers.
+// parseBody departs from refParseBody on purpose. An entry names the change,
+// gives an example, and matches the inputs it covers.
 var bodyVerdictChanges = []struct {
-	name  string
-	match func(text string) bool
-}{}
+	name    string
+	example string
+	match   func(text string) bool
+}{
+	{
+		// Between atoms, commas and a `not` prefix the scanner skips every
+		// Unicode space, as the atom grammar's strings.TrimSpace always
+		// did; refParseBody skipped only space, tab, CR and LF. With the
+		// other spaces made plain, the two must agree.
+		name:    "Unicode space between atoms",
+		example: "r(x)\u00a0, s(x)",
+		match: func(text string) bool {
+			plain := strings.Map(func(r rune) rune {
+				if unicode.IsSpace(r) && !strings.ContainsRune(" \t\n\r", r) {
+					return ' '
+				}
+				return r
+			}, text)
+			if plain == text {
+				return false
+			}
+			want, wantErr := refParseBody(plain, 1)
+			got, err := parseBody(plain, 1)
+			return sameBody(got, err, want, wantErr)
+		},
+	},
+}
+
+// sameBody reports whether two body parses agree: the same error message,
+// or the same atoms.
+func sameBody(got []Atom, err error, want []Atom, wantErr error) bool {
+	if err != nil || wantErr != nil {
+		return err != nil && wantErr != nil && err.Error() == wantErr.Error()
+	}
+	return reflect.DeepEqual(got, want)
+}
+
+// TestBodyVerdictChanges keeps the allow-list honest: each entry's example
+// is a real disagreement, and the entry covers it.
+func TestBodyVerdictChanges(t *testing.T) {
+	for _, c := range bodyVerdictChanges {
+		want, wantErr := refParseBody(c.example, 1)
+		got, err := parseBody(c.example, 1)
+		if sameBody(got, err, want, wantErr) || !c.match(c.example) {
+			t.Errorf("%s: example %q: refParseBody %v, %v; parseBody %v, %v", c.name, c.example, want, wantErr, got, err)
+		}
+	}
+}
 
 // FuzzParseBodyMatchesRef checks that the shared body scanner reads every
 // rule body as refParseBody did: both return the same error message, or both
@@ -147,16 +192,17 @@ func FuzzParseBodyMatchesRef(f *testing.F) {
 			}
 		}
 	}
-	for _, body := range []string{"", " ", "r(x) s(x)", "r(x)\v, s(x)", "not (x)", "not(x)", "!r(x), not\nr(x)"} {
+	for _, body := range []string{"", " ", "r(x) s(x)", "r(x)\v, s(x)", "not (x)", "not(x)", "!r(x), not\nr(x)",
+		"not\u00a0r(x)", "r(x),\u00a0s(x)\u2003", "r(x\u00a0, \"a\u00a0b\"\u00a0)"} {
 		f.Add(body)
+	}
+	for _, c := range bodyVerdictChanges {
+		f.Add(c.example)
 	}
 	f.Fuzz(func(t *testing.T, text string) {
 		want, wantErr := refParseBody(text, 1)
 		got, err := parseBody(text, 1)
-		switch {
-		case wantErr != nil && err != nil && err.Error() == wantErr.Error():
-			return
-		case wantErr == nil && err == nil && reflect.DeepEqual(got, want):
+		if sameBody(got, err, want, wantErr) {
 			return
 		}
 		for _, c := range bodyVerdictChanges {

@@ -115,6 +115,29 @@ b(x) :- a(x, y),
 	}
 }
 
+// TestParseProgramUnicodeSpaces: statements, rule bodies and atoms skip the
+// same Unicode spaces, so a program spelled with them parses as its
+// plain-space spelling, with the same line numbers.
+func TestParseProgramUnicodeSpaces(t *testing.T) {
+	plain := "p(x) :- r(x), s(x).\n ?- p(x)."
+	for _, src := range []string{
+		"p(x) :- r(x)\u00a0, s(x).\n\u2003?- p(x).\u00a0",
+		"p(x)\u00a0:-\u00a0r(\u00a0x)\v,\fs(x\u0085).\n?-\u3000p(x).\u2003\n",
+	} {
+		want, err := ParseProgram(plain)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := ParseProgram(src)
+		if err != nil {
+			t.Fatalf("ParseProgram(%q): %v", src, err)
+		}
+		if got.String() != want.String() || got.Rules[0].Line != 1 || got.Goal.Line != 2 {
+			t.Fatalf("ParseProgram(%q) = %s (lines %d, %d), want %s", src, got, got.Rules[0].Line, got.Goal.Line, want)
+		}
+	}
+}
+
 func TestProgramString(t *testing.T) {
 	src := `p(x, y) :- e(x, y), not q(y).
 q(y) :- f(y, "lit").

@@ -439,7 +439,15 @@ func ghdQueries() []*query.CQ {
 			cl = append(cl, query.Atom{Rel: fmt.Sprintf("K%d%d", i, j), Vars: []string{vars[i], vars[j]}})
 		}
 	}
-	return []*query.CQ{triTail, query.NewCQ("K4", nil, cl...)}
+	// A 4-cycle with one diagonal: two triangles glued on the edge a-c.
+	chordSq := query.NewCQ("chordsq", nil,
+		query.Atom{Rel: "R1", Vars: []string{"a", "b"}},
+		query.Atom{Rel: "R2", Vars: []string{"b", "c"}},
+		query.Atom{Rel: "R3", Vars: []string{"c", "d"}},
+		query.Atom{Rel: "R4", Vars: []string{"d", "a"}},
+		query.Atom{Rel: "R5", Vars: []string{"a", "c"}},
+	)
+	return []*query.CQ{triTail, query.NewCQ("K4", nil, cl...), chordSq}
 }
 
 func TestEnumerateGHDMatchesGenericJoin(t *testing.T) {

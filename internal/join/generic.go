@@ -1,8 +1,8 @@
-// Package join implements the batch join baselines of the paper: the
-// worst-case-optimal Generic-Join / NPRR algorithm (Section 9.1.1) used by
-// Batch on cyclic queries, the Yannakakis algorithm for acyclic queries, a
-// conventional left-deep binary hash-join engine (the PostgreSQL stand-in of
-// Fig. 14), and a sorted-access Rank-Join baseline (Section 9.1.3).
+// Package join implements the batch join algorithms of the paper: the
+// worst-case-optimal Generic-Join / NPRR algorithm (Section 9.1.1), which
+// materializes GHD bags, and the Yannakakis algorithm for acyclic queries.
+// Both are independent of the DP-graph machinery, so the engine's tests use
+// them as oracles, and the benchmark times them as the Batch baseline.
 package join
 
 import (

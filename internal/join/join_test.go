@@ -156,20 +156,6 @@ func TestGenericJoinSelfJoin(t *testing.T) {
 	sameResults(t, "selfjoin", got, naive(db, q))
 }
 
-func TestHashJoinPlanMatchesNaive(t *testing.T) {
-	r := rand.New(rand.NewSource(42))
-	for _, q := range []*query.CQ{query.PathQuery(3), query.StarQuery(4), query.CycleQuery(4), query.CartesianQuery(3)} {
-		for trial := 0; trial < 5; trial++ {
-			db := randomDB(r, q, 3+r.Intn(12), 1+r.Intn(4))
-			got, err := HashJoinPlan(db, q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameResults(t, "HashJoin/"+q.Name, got, naive(db, q))
-		}
-	}
-}
-
 func TestYannakakisMatchesNaive(t *testing.T) {
 	r := rand.New(rand.NewSource(43))
 	for _, q := range []*query.CQ{query.PathQuery(2), query.PathQuery(5), query.StarQuery(4), query.CartesianQuery(3)} {
@@ -195,66 +181,8 @@ func TestSortResults(t *testing.T) {
 	}
 }
 
-func TestRankJoinMatchesSortedNaive(t *testing.T) {
-	r := rand.New(rand.NewSource(44))
-	for trial := 0; trial < 10; trial++ {
-		q := query.PathQuery(2 + r.Intn(2))
-		db := randomDB(r, q, 3+r.Intn(12), 1+r.Intn(4))
-		want := naive(db, q)
-		SortResults(want)
-		k := len(want) + 3
-		got, stats, err := RankJoin(db, q, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: %d results, want %d", trial, len(got), len(want))
-		}
-		for i := range got {
-			if got[i].Weight != want[i].Weight {
-				t.Fatalf("trial %d rank %d: %v want %v", trial, i, got[i].Weight, want[i].Weight)
-			}
-		}
-		if stats.SortedAccesses == 0 && len(want) > 0 {
-			t.Fatal("no sorted accesses recorded")
-		}
-	}
-}
-
-func TestRankJoinTopK(t *testing.T) {
-	r := rand.New(rand.NewSource(45))
-	q := query.PathQuery(3)
-	db := randomDB(r, q, 15, 3)
-	want := naive(db, q)
-	SortResults(want)
-	if len(want) < 5 {
-		t.Skip("instance too small")
-	}
-	got, _, err := RankJoin(db, q, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 5 {
-		t.Fatalf("got %d", len(got))
-	}
-	for i := 0; i < 5; i++ {
-		if got[i].Weight != want[i].Weight {
-			t.Fatalf("rank %d: %v want %v", i, got[i].Weight, want[i].Weight)
-		}
-	}
-}
-
-func TestRankJoinRejectsNonChain(t *testing.T) {
-	if _, _, err := RankJoin(relation.NewDB(), query.NewCQ("one", nil, query.Atom{Rel: "R", Vars: []string{"a"}}), 1); err == nil {
-		t.Fatal("single atom accepted")
-	}
-}
-
 func TestGenericJoinMissingRelation(t *testing.T) {
 	if _, err := GenericJoin(relation.NewDB(), query.PathQuery(2)); err == nil {
-		t.Fatal("expected missing-relation error")
-	}
-	if _, err := HashJoinPlan(relation.NewDB(), query.PathQuery(2)); err == nil {
 		t.Fatal("expected missing-relation error")
 	}
 }

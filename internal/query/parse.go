@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // TermKind discriminates the argument kinds of the shared atom grammar.
@@ -176,7 +177,7 @@ func ScanBody(body string, line int, atom func(text string, negated bool, line i
 		if body[i] == '!' {
 			negated = true
 			i, line = skipSpace(body, i+1, line)
-		} else if strings.HasPrefix(body[i:], "not") && i+3 < len(body) && isSpace(body[i+3]) {
+		} else if strings.HasPrefix(body[i:], "not") && spaceAt(body, i+3) {
 			negated = true
 			i, line = skipSpace(body, i+3, line)
 		}
@@ -204,15 +205,19 @@ func ScanBody(body string, line int, atom func(text string, negated bool, line i
 	}
 }
 
-// skipSpace returns the index of the first non-space byte of s at or after i,
-// and line advanced by the newlines it skipped.
+// skipSpace returns the index of the first byte of s at or after i that does
+// not start a space, and line advanced by the newlines it skipped. A space is
+// what unicode.IsSpace says it is, the class strings.TrimSpace removes, so
+// every whitespace skip of the grammar agrees.
 func skipSpace(s string, i, line int) (int, int) {
-	for ; i < len(s) && isSpace(s[i]); i++ {
-		if s[i] == '\n' {
-			line++
-		}
-	}
-	return i, line
+	j := len(s) - len(strings.TrimLeftFunc(s[i:], unicode.IsSpace))
+	return j, line + strings.Count(s[i:j], "\n")
+}
+
+// spaceAt reports whether s[i:] starts with a space (see skipSpace).
+func spaceAt(s string, i int) bool {
+	r, _ := utf8.DecodeRuneInString(s[i:])
+	return unicode.IsSpace(r)
 }
 
 // closeParen returns the index of the first ')' in s that does not sit
@@ -483,9 +488,7 @@ func scanTerms(name, inner string) ([]Term, error) {
 	var terms []Term
 	i := 0
 	for {
-		for i < len(inner) && isSpace(inner[i]) {
-			i++
-		}
+		i, _ = skipSpace(inner, i, 0)
 		if i >= len(inner) {
 			return nil, fmt.Errorf("atom %s: trailing comma", name)
 		}
@@ -509,9 +512,7 @@ func scanTerms(name, inner string) ([]Term, error) {
 			i = j
 		}
 		terms = append(terms, t)
-		for i < len(inner) && isSpace(inner[i]) {
-			i++
-		}
+		i, _ = skipSpace(inner, i, 0)
 		if i >= len(inner) {
 			return terms, nil
 		}
@@ -594,8 +595,6 @@ func numberLike(tok string) bool {
 	}
 	return c >= '0' && c <= '9'
 }
-
-func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c == '\r' }
 
 func ident(s string) bool {
 	if s == "" {

@@ -5,8 +5,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-	"unicode"
-	"unicode/utf8"
 )
 
 // refParse is Parse as it stood before CQs and Datalog programs shared one
@@ -98,48 +96,27 @@ type verdictChange struct {
 	match   func(s string, ref *CQ, err error) bool
 }
 
-// parseVerdictChanges is FuzzParseMatchesRef's allow-list. It is a function,
-// not a variable, because its last entry re-checks a rewritten input against
-// the whole list.
-func parseVerdictChanges() []verdictChange {
-	return []verdictChange{
-		{
-			// The head check is the program parser's.
-			name:    "repeated head variable",
-			example: "Q(x1,x1) :- R1(x1,x2), R2(x2,x3)",
-			match: func(_ string, ref *CQ, err error) bool {
-				return strings.Contains(err.Error(), "repeated variable") && hasDuplicate(ref.Free)
-			},
+// parseVerdictChanges is FuzzParseMatchesRef's allow-list.
+var parseVerdictChanges = []verdictChange{
+	{
+		// The head check is the program parser's.
+		name:    "repeated head variable",
+		example: "Q(x1,x1) :- R1(x1,x2), R2(x2,x3)",
+		match: func(_ string, ref *CQ, err error) bool {
+			return strings.Contains(err.Error(), "repeated variable") && hasDuplicate(ref.Free)
 		},
-		{
-			// The body scanner reads `not` followed by whitespace as
-			// negation, as programs always did, and a CQ has no negation.
-			// refParse read it as a relation named `not`.
-			name:    "not followed by whitespace",
-			example: "Q(*) :- not (x)",
-			match: func(_ string, ref *CQ, err error) bool {
-				return strings.Contains(err.Error(), "negated atom") &&
-					slices.ContainsFunc(ref.Atoms, func(a Atom) bool { return a.Rel == "not" })
-			},
+	},
+	{
+		// The body scanner reads `not` followed by whitespace as
+		// negation, as programs always did, and a CQ has no negation.
+		// refParse read it as a relation named `not`.
+		name:    "not followed by whitespace",
+		example: "Q(*) :- not (x)",
+		match: func(_ string, ref *CQ, err error) bool {
+			return strings.Contains(err.Error(), "negated atom") &&
+				slices.ContainsFunc(ref.Atoms, func(a Atom) bool { return a.Rel == "not" })
 		},
-		{
-			// Between an atom and its comma the body scanner skips the atom
-			// grammar's whitespace (space, tab, CR, LF), as programs always
-			// did; refParse also skipped the other Unicode spaces (\v, \f,
-			// U+0085, U+00A0, ...). With those made plain, the two must agree.
-			name:    "Unicode space before a comma",
-			example: "Q(*) :- R(x)\u00a0, S(x)",
-			match: func(s string, _ *CQ, err error) bool {
-				plain := strings.Map(func(r rune) rune {
-					if unicode.IsSpace(r) && (r >= utf8.RuneSelf || !isSpace(byte(r))) {
-						return ' '
-					}
-					return r
-				}, s)
-				return strings.Contains(err.Error(), "expected ','") && plain != s && parseDisagreement(plain) == ""
-			},
-		},
-	}
+	},
 }
 
 func hasDuplicate(vars []string) bool {
@@ -167,7 +144,7 @@ func parseDisagreement(s string) string {
 		}
 		return ""
 	}
-	for _, c := range parseVerdictChanges() {
+	for _, c := range parseVerdictChanges {
 		if c.match(s, ref, err) {
 			return ""
 		}
@@ -178,7 +155,7 @@ func parseDisagreement(s string) string {
 // TestParseVerdictChanges keeps the allow-list honest: each entry's example
 // is a real disagreement, and the entry covers it.
 func TestParseVerdictChanges(t *testing.T) {
-	for _, c := range parseVerdictChanges() {
+	for _, c := range parseVerdictChanges {
 		ref, refErr := refParse(c.example)
 		_, err := Parse(c.example)
 		if refErr != nil || err == nil || !c.match(c.example, ref, err) {
@@ -222,10 +199,11 @@ func FuzzParseMatchesRef(f *testing.F) {
 		// Neighbours of the verdict changes' examples.
 		"Q(*) :- not(x)", "Q(*) :- R(x), not\n(x)", "Q(*) :- R(x), !S(x)",
 		"Q(*) :- R(x)\v, S(x)", "Q(*) :- R(x)\u00a0,\u00a0S(x)", "Q(*) :- R(x),\u00a0S(x)",
+		"Q(*) :- R(x)\u00a0, S(x)",
 	} {
 		f.Add(seed)
 	}
-	for _, c := range parseVerdictChanges() {
+	for _, c := range parseVerdictChanges {
 		f.Add(c.example)
 	}
 	f.Fuzz(func(t *testing.T, s string) {

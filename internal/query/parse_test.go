@@ -53,6 +53,30 @@ func TestParseRoundTripsBuilders(t *testing.T) {
 	}
 }
 
+// TestParseUnicodeSpaces: every whitespace skip of the grammar (between
+// atoms and commas, inside the parentheses, after a string constant) takes
+// the Unicode spaces strings.TrimSpace takes, so a query spelled with them
+// reads as its plain-space spelling.
+func TestParseUnicodeSpaces(t *testing.T) {
+	want, err := Parse(`Q(*) :- R(x, "a b"), S(x, y)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []string{
+		"Q(*) :- R(x, \"a b\")\u00a0, S(x, y)",
+		"Q(*) :-\u2003R(x,\u00a0\"a b\"\v),\fS(x\u0085, y)",
+		"Q(*) :- R(\u00a0x, \"a b\"), S(x, y)\u3000",
+	} {
+		q, err := Parse(s)
+		if err != nil {
+			t.Fatalf("Parse(%q): %v", s, err)
+		}
+		if q.String() != want.String() {
+			t.Fatalf("Parse(%q) = %s, want %s", s, q, want)
+		}
+	}
+}
+
 func TestParseErrors(t *testing.T) {
 	bad := []string{
 		"",
