@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/bits"
 
 	"anyk/internal/dioid"
@@ -49,11 +50,41 @@ type recSuffix[W any] struct {
 
 // recGroup memoizes a group's ranked suffixes; pq == nil until the group's
 // first visit. Invariant: the priority queue's top equals the last element
-// of sols; popping it and reinserting the member's next-ranked suffix
+// of the list; popping it and reinserting the member's next-ranked suffix
 // reveals the following solution.
+//
+// keepLast marks the root's single-reader list: when the virtual root has
+// one unpruned branch, its child group is read only by Next, at rank k and
+// nowhere below, so sols keeps just the last suffix and dropped counts the
+// ranks before it. The list's logical length is dropped + sols.len().
 type recGroup[W any] struct {
-	sols segvec[recSuffix[W]]
-	pq   *heapq.Heap[recSuffix[W]]
+	sols     segvec[recSuffix[W]]
+	pq       *heapq.Heap[recSuffix[W]]
+	dropped  int32
+	keepLast bool
+}
+
+// len returns the number of suffixes revealed so far.
+func (rg *recGroup[W]) len() int32 { return rg.dropped + rg.sols.len() }
+
+// push appends the next revealed suffix; a keep-last list overwrites its one
+// entry.
+func (rg *recGroup[W]) push(x recSuffix[W]) {
+	if rg.keepLast && rg.sols.len() > 0 {
+		*rg.sols.at(0) = x
+		rg.dropped++
+		return
+	}
+	rg.sols.push(x)
+}
+
+// at returns the rank-th suffix; on a keep-last list any rank but the last
+// panics.
+func (rg *recGroup[W]) at(rank int32) *recSuffix[W] {
+	if rank < rg.dropped {
+		panic(fmt.Sprintf("core: anyK-rec read rank %d of the root list, which keeps only rank %d", rank, rg.dropped))
+	}
+	return rg.sols.at(rank - rg.dropped)
 }
 
 // recComb is one ranked combination of branch solutions at a multi-branch
@@ -89,6 +120,10 @@ func newRec[W any](g *dpgraph.Graph[W]) *recEnum[W] {
 	e.stages = make([]recStage[W], len(g.Stages))
 	e.sufLess = func(a, b recSuffix[W]) bool { return e.d.Less(a.cost, b.cost) }
 	e.combLess = func(a, b recComb[W]) bool { return e.d.Less(a.cost, b.cost) }
+	if root := g.Stages[0]; len(root.UnprunedBranches) == 1 && !g.Empty() {
+		b := root.UnprunedBranches[0]
+		e.groups[root.ChildStages[b]][root.Link(0, b)].keepLast = true
+	}
 	e.cur = make([]int32, len(g.Stages))
 	e.done = g.Empty()
 	return e
@@ -229,7 +264,7 @@ func (e *recEnum[W]) groupSol(stage int, gi int32, rank int32) (recSuffix[W], bo
 	}
 	st := e.g.Stages[stage]
 	grp := &st.Groups[gi]
-	for rg.sols.len() <= rank {
+	for rg.len() <= rank {
 		// Pop the suffix that was last revealed and replace it with the
 		// member's next-ranked solution; the new top is the next suffix.
 		top, ok := rg.pq.Pop()
@@ -246,9 +281,9 @@ func (e *recEnum[W]) groupSol(stage int, gi int32, rank int32) (recSuffix[W], bo
 		if !ok {
 			return recSuffix[W]{}, false
 		}
-		rg.sols.push(nxt)
+		rg.push(nxt)
 	}
-	return *rg.sols.at(rank), true
+	return *rg.at(rank), true
 }
 
 func (e *recEnum[W]) initGroup(rg *recGroup[W], stage int, gi int32) {
@@ -261,7 +296,7 @@ func (e *recEnum[W]) initGroup(rg *recGroup[W], stage int, gi int32) {
 	rg.pq = heapq.From(entries, e.sufLess)
 	e.pushes += len(entries)
 	if top, ok := rg.pq.Peek(); ok {
-		rg.sols.push(top)
+		rg.push(top)
 	}
 }
 

@@ -41,7 +41,7 @@ func (e *recEnum[W]) Stats() Stats {
 	for _, gs := range e.groups {
 		for i := range gs {
 			if rg := &gs[i]; rg.pq != nil {
-				total += int(rg.sols.len()) + rg.pq.Len()
+				total += int(rg.len()) + rg.pq.Len()
 			}
 		}
 	}

@@ -367,7 +367,9 @@ func (g *Graph[W]) NumStates() int {
 // SizeBytes returns the bytes of every array reachable from the graph: value
 // blocks, weights, links, the choice-set CSR and the group table. Value
 // blocks and Weight arrays built from a columnar StageInput are shared with
-// it, not copied, and are counted here all the same.
+// it, not copied, and are counted here all the same — including arrays the
+// graph does not own at all, such as the relation column and weight blocks
+// that query lowering borrows for a stage of every row.
 func (g *Graph[W]) SizeBytes() int64 {
 	var w W
 	wsize := int64(unsafe.Sizeof(w))

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"math"
+	"runtime"
 	"testing"
 
 	"anyk/internal/core"
@@ -194,5 +196,49 @@ func TestRowValsStableAcrossNext(t *testing.T) {
 					i, j, h.vals[j], h.copy[j])
 			}
 		}
+	}
+}
+
+// loweredBytes is what prepare — route choice and lowering, stopping short
+// of the graph build and its own O(n) arrays — allocates for an uncached
+// path4 over Uniform(4, n) under d: the least of three runs, so that a
+// stray background allocation cannot inflate it.
+func loweredBytes[W any](t *testing.T, d dioid.Dioid[W], n int) int64 {
+	t.Helper()
+	db := dataset.Uniform(4, n, 1)
+	q := query.PathQuery(4)
+	best := int64(math.MaxInt64)
+	var ms runtime.MemStats
+	for i := 0; i < 3; i++ {
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		if _, _, _, err := prepare[W](db, q, d, Options{}); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&ms)
+		best = min(best, int64(ms.TotalAlloc-before))
+	}
+	return best
+}
+
+// TestLowerAllocsIndependentOfN: a stage of every row borrows the relation's
+// columns, and under a dioid whose Lift is the identity on float64 its
+// weights too, so lowering path4 allocates the same few bytes at n = 1 000
+// and n = 100 000 under Tropical. Counting (float64, but Lift maps every
+// weight to 1) and Lex (vector weights) still lift into arrays of their own,
+// so their lowering grows by at least 8 B per added row and atom: the
+// identity list, not the weight type, is what decides.
+func TestLowerAllocsIndependentOfN(t *testing.T) {
+	const small, large, slack = 1_000, 100_000, 64 << 10
+	grow := func(f func(n int) int64) int64 { return f(large) - f(small) }
+	if d := grow(func(n int) int64 { return loweredBytes[float64](t, dioid.Tropical{}, n) }); d >= slack {
+		t.Errorf("Tropical: lowering at n = %d allocates %d B more than at n = %d, want < %d", large, d, small, slack)
+	}
+	floor := int64(4 * (large - small) * 8)
+	if d := grow(func(n int) int64 { return loweredBytes[float64](t, dioid.Counting{}, n) }); d < floor {
+		t.Errorf("Counting: lowering grew by %d B from n = %d to %d, want ≥ %d (its weights are lifted)", d, small, large, floor)
+	}
+	if d := grow(func(n int) int64 { return loweredBytes[dioid.Vec](t, dioid.NewLex(4), n) }); d < floor {
+		t.Errorf("Lex: lowering grew by %d B from n = %d to %d, want ≥ %d (its weights are lifted)", d, small, large, floor)
 	}
 }

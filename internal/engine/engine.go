@@ -429,18 +429,21 @@ func compileAcyclic[W any](db *relation.DB, q *query.CQ, d dioid.Dioid[W], sem S
 }
 
 // stageInputs lowers the plan's nodes to columnar stage inputs, all the same
-// way: choose the relation rows the stage is built from, gather each bound
-// column at those rows into a block of the stage's own (a snapshot: later
-// SetAt/Add on the relation never reach a compiled plan), and lift the
-// weights. Full nodes take every row, or the ascending ids a filtered scan
-// yields, with the row's lifted weight (stage index = atom index, so
-// lexicographic and tie-break dioids see the query's atom order, and Lift row
-// ids are those of a pre-materialized filtered copy). Projected connex nodes
-// and — under MinWeight — pure connex nodes take one row per group of the
-// relation's cached (predicate-aware) hash index: the former with weight 1̄
-// (their real weights arrive from the pruned originals below, Thm 20), the
-// latter Plus-folding the group's weights in row order — the fold order a
-// filtered scan produces, so tie-breaking dioids agree.
+// way: choose the relation rows the stage is built from, take each bound
+// column at those rows, and lift the weights. A stage of every row borrows
+// the relation's column blocks, and its weights too when Lift is the
+// identity on float64 (liftsIdentically), as windows [:n:n]: relations only
+// append past Size() and never change a row below it in place, so the window
+// is a snapshot no later SetAt or Add reaches. Every other stage gathers
+// blocks of its own. Full nodes take every row, or the ascending ids a
+// filtered scan yields, with the row's lifted weight (stage index = atom
+// index, so lexicographic and tie-break dioids see the query's atom order,
+// and Lift row ids are those of a pre-materialized filtered copy). Projected
+// connex nodes and — under MinWeight — pure connex nodes take one row per
+// group of the relation's cached (predicate-aware) hash index: the former
+// with weight 1̄ (their real weights arrive from the pruned originals below,
+// Thm 20), the latter Plus-folding the group's weights in row order — the
+// fold order a filtered scan produces, so tie-breaking dioids agree.
 func stageInputs[W any](db *relation.DB, plan *query.Plan, d dioid.Dioid[W], minWeightQuery bool) ([]dpgraph.StageInput[W], error) {
 	order := plan.Order
 	posOf := make([]int, len(plan.Nodes))
@@ -493,34 +496,42 @@ func stageInputs[W any](db *relation.DB, plan *query.Plan, d dioid.Dioid[W], min
 			ids = rel.FilterScan(preds)
 			n = len(ids)
 		}
-		flat := make([]relation.Value, n*len(cols))
 		blocks := make([][]relation.Value, len(cols))
-		for i, c := range cols {
-			blocks[i] = flat[i*n : (i+1)*n : (i+1)*n]
-			if src := rel.Col(c); ids == nil {
-				copy(blocks[i], src)
-			} else {
+		if ids == nil {
+			for i, c := range cols {
+				blocks[i] = rel.Col(c)[:n:n]
+			}
+		} else {
+			flat := make([]relation.Value, n*len(cols))
+			for i, c := range cols {
+				blocks[i] = flat[i*n : (i+1)*n : (i+1)*n]
+				src := rel.Col(c)
 				for k, r := range ids {
 					blocks[i][k] = src[r]
 				}
 			}
 		}
-		lift := func(r int) W { return d.Lift(rel.Weights[r], node.Atom, int64(r)) }
-		weights := make([]W, n)
-		for k := range weights {
-			switch {
-			case projected:
-				weights[k] = d.One()
-			case groups != nil:
-				w := lift(groups[k][0])
-				for _, r := range groups[k][1:] {
-					w = d.Plus(w, lift(r))
+		var weights []W
+		if ws, ok := any(&rel.Weights).(*[]W); ok && ids == nil && liftsIdentically(d) {
+			weights = (*ws)[:n:n]
+		} else {
+			weights = make([]W, n)
+			lift := func(r int) W { return d.Lift(rel.Weights[r], node.Atom, int64(r)) }
+			for k := range weights {
+				switch {
+				case projected:
+					weights[k] = d.One()
+				case groups != nil:
+					w := lift(groups[k][0])
+					for _, r := range groups[k][1:] {
+						w = d.Plus(w, lift(r))
+					}
+					weights[k] = w
+				case ids != nil:
+					weights[k] = lift(ids[k])
+				default:
+					weights[k] = lift(k)
 				}
-				weights[k] = w
-			case ids != nil:
-				weights[k] = lift(ids[k])
-			default:
-				weights[k] = lift(k)
 			}
 		}
 		inputs[pos] = dpgraph.StageInput[W]{
@@ -533,6 +544,16 @@ func stageInputs[W any](db *relation.DB, plan *query.Plan, d dioid.Dioid[W], min
 		}
 	}
 	return inputs, nil
+}
+
+// liftsIdentically reports whether d.Lift(w, stage, id) is w itself, so that
+// a stage of every row may borrow the relation's weights as they are.
+func liftsIdentically[W any](d dioid.Dioid[W]) bool {
+	switch any(d).(type) {
+	case dioid.Tropical, dioid.MaxPlus, dioid.MaxTimes, dioid.MinMax:
+		return true
+	}
+	return false
 }
 
 func varList(vs []string) string {

@@ -14,10 +14,12 @@ import (
 
 // TestOpenIteratorIsASnapshot: an iterator, once open, drains the rows of the
 // database as it was when Enumerate returned, whatever SetAt and Add do to
-// the source relations afterwards — stage columns are gathered copies, never
-// windows onto live relation storage. Covers the three ways a stage chooses
-// its rows (all, a filtered scan, one per projected group), every route's
-// plan cache state, and the parallel layer.
+// the source relations afterwards. A stage of every row borrows the
+// relation's blocks as [:n:n] windows, which stay a snapshot because Add only
+// appends past Size() and SetAt writes into a fresh copy of its column;
+// filtered and projected stages gather blocks of their own. Covers the three
+// ways a stage chooses its rows (all, a filtered scan, one per projected
+// group), every route's plan cache state, and the parallel layer.
 func TestOpenIteratorIsASnapshot(t *testing.T) {
 	r := rand.New(rand.NewSource(2212))
 	filtered, err := query.Parse("Q(x1,x2,x3) :- R1(x1,x2 | x1 > 0), R2(x2,x3)")

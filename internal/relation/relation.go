@@ -33,15 +33,25 @@ func nextStamp() uint64 { return stampCounter.Add(1) }
 // values out of the column blocks on demand; hot paths read columns directly
 // via At/Col.
 //
+// Relations are append-only to every reader: rows below Size() never change
+// in place. Add and TryAdd write only past the old length, and SetAt writes
+// into a fresh copy of its column, so a window col[:n:n] (or Weights[:n:n])
+// taken at Size() n is a snapshot no later mutation reaches, and readers may
+// alias the column and weight blocks instead of copying them; query lowering
+// does. A reader that only holds such a window may even run while another
+// goroutine appends.
+//
 // A relation lazily accretes derived read-only structures — hash indexes
 // (GroupIndex) and arbitrary memos (Memo) — that are invalidated wholesale
-// when a row is added. Mutation is not safe concurrently with anything else,
-// but any number of readers (including index builders) may run concurrently
-// once the relation stops changing; the HTTP service guarantees that with
-// copy-on-write database registration.
+// when a row is added. Mutation is not safe concurrently with any other use
+// of the relation itself, but any number of readers (including index
+// builders) may run concurrently once the relation stops changing; the HTTP
+// service guarantees that with copy-on-write database registration.
 type Relation struct {
-	Name    string
-	Attrs   []string
+	Name  string
+	Attrs []string
+	// Weights[i] is row i's input weight. Like the column blocks it is only
+	// ever appended to: never write an element below Size() in place.
 	Weights []float64
 
 	// Types is the logical column schema: Types[i] says what the physical
@@ -232,15 +242,20 @@ func (r *Relation) Size() int { return len(r.Weights) }
 // At returns column col of row i.
 func (r *Relation) At(i, col int) Value { return r.cols[col][i] }
 
-// SetAt overwrites column col of row i in place, restamping the version so
-// derived indexes and plan caches are invalidated.
+// SetAt overwrites column col of row i, restamping the version so derived
+// indexes and plan caches are invalidated. Rows below Size() never change in
+// place, so it writes into a fresh copy of the column, O(n) per call: a
+// reader that aliased the old block keeps seeing the old value.
 func (r *Relation) SetAt(i, col int, v Value) {
+	r.cols[col] = slices.Clone(r.cols[col])
 	r.cols[col][i] = v
 	r.version.Store(nextStamp())
 }
 
-// Col returns column c's contiguous value block, aligned with row ids.
-// Callers must treat it as read-only; it is live storage, not a copy.
+// Col returns column c's contiguous value block, aligned with row ids. It is
+// live storage, not a copy, and callers must treat it as read-only; since
+// rows below Size() never change in place, a reader may keep the window
+// Col(c)[:n:n] as a snapshot of the first n rows.
 func (r *Relation) Col(c int) []Value { return r.cols[c] }
 
 // Row assembles row i into a fresh slice. It is the row-shaped compatibility
