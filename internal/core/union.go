@@ -161,28 +161,3 @@ func (d *dedupIter[W]) Stats() Stats {
 	}
 	return Stats{}
 }
-
-// limitIter caps a stream at k rows.
-type limitIter[W any] struct {
-	in RowIter[W]
-	k  int
-}
-
-// NewLimit returns an iterator yielding at most k rows of it.
-func NewLimit[W any](it RowIter[W], k int) RowIter[W] { return &limitIter[W]{in: it, k: k} }
-
-func (l *limitIter[W]) Next() (Row[W], bool) {
-	if l.k <= 0 {
-		return Row[W]{}, false
-	}
-	l.k--
-	return l.in.Next()
-}
-
-// Stats passes through the limit wrapper unchanged.
-func (l *limitIter[W]) Stats() Stats {
-	if sr, ok := l.in.(StatsReporter); ok {
-		return sr.Stats()
-	}
-	return Stats{}
-}

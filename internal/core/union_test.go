@@ -75,21 +75,6 @@ func TestDedupDropsConsecutive(t *testing.T) {
 	}
 }
 
-func TestLimit(t *testing.T) {
-	in := &sliceIter{rows: []Row[float64]{{Weight: 1}, {Weight: 2}, {Weight: 3}}}
-	l := NewLimit[float64](in, 2)
-	n := 0
-	for {
-		if _, ok := l.Next(); !ok {
-			break
-		}
-		n++
-	}
-	if n != 2 {
-		t.Fatalf("limit yielded %d", n)
-	}
-}
-
 func TestGraphIterAssembles(t *testing.T) {
 	d := dioid.Tropical{}
 	g, err := dpgraph.Build[float64](d, []dpgraph.StageInput[float64]{

@@ -50,16 +50,6 @@ func (a Atom) String() string {
 	return sb.String()
 }
 
-// hasConstants reports whether any term is a constant literal.
-func (a Atom) hasConstants() bool {
-	for _, t := range a.Terms {
-		if !t.IsVar() {
-			return true
-		}
-	}
-	return false
-}
-
 // headVars returns the head's variable names in position order (heads are
 // validated to hold distinct variables only).
 func (a Atom) headVars() []string {

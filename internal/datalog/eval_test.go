@@ -153,9 +153,7 @@ func typedDB(t *testing.T) *relation.DB {
 		s, d string
 		w    float64
 	}{{"a", "b", 1}, {"a", "c", 3}, {"b", "c", 1}, {"c", "d", 2}, {"d", "a", 7}} {
-		if _, err := edge.AddTyped(e.w, e.s, e.d); err != nil {
-			t.Fatal(err)
-		}
+		edge.Add(e.w, db.Dict().EncodeString(e.s), db.Dict().EncodeString(e.d))
 	}
 	db.AddRelation(edge)
 	score, err := db.NewDerived("score", []string{"node", "val"}, []relation.Type{relation.TypeString, relation.TypeFloat64})
@@ -166,9 +164,7 @@ func typedDB(t *testing.T) *relation.DB {
 		n string
 		v float64
 	}{{"a", 2.5}, {"b", 2.0}, {"c", 2.5}, {"d", 9.25}} {
-		if _, err := score.AddTyped(0, s.n, s.v); err != nil {
-			t.Fatal(err)
-		}
+		score.Add(0, db.Dict().EncodeString(s.n), db.Dict().EncodeFloat(s.v))
 	}
 	db.AddRelation(score)
 	return db
@@ -263,9 +259,7 @@ func TestWildcardDerivesColumnType(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, name := range []string{"alice", "bob"} {
-		if _, err := people.AddTyped(float64(i+1), int64(i), name); err != nil {
-			t.Fatal(err)
-		}
+		people.Add(float64(i+1), int64(i), db.Dict().EncodeString(name))
 	}
 	db.AddRelation(people)
 	rows, _ := drainProgram(t, db, `

@@ -14,7 +14,8 @@ func TestUniform(t *testing.T) {
 	if r.Size() != 1000 {
 		t.Fatalf("size = %d", r.Size())
 	}
-	for i, row := range r.Rows() {
+	for i := range r.Size() {
+		row := r.Row(i)
 		if row[0] < 0 || row[0] >= 100 || row[1] < 0 || row[1] >= 100 {
 			t.Fatalf("value outside N_{n/10}: %v", row)
 		}
@@ -36,7 +37,8 @@ func TestWorstCaseCycle(t *testing.T) {
 		t.Fatalf("size = %d", r.Size())
 	}
 	zeros := 0
-	for _, row := range r.Rows() {
+	for i := range r.Size() {
+		row := r.Row(i)
 		if row[0] == 0 || row[1] == 0 {
 			zeros++
 		}

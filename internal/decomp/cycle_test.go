@@ -77,7 +77,7 @@ type rowW struct {
 
 func relRows(r *relation.Relation) []rowW {
 	out := make([]rowW, r.Size())
-	for i := range r.Rows() {
+	for i := range r.Size() {
 		out[i] = rowW{r.Row(i), r.Weights[i]}
 	}
 	return out

@@ -45,26 +45,5 @@ type Group[W any] interface {
 	Minus(a, b W) W
 }
 
-// Leq reports a ≤ b in the order induced by d.
-func Leq[W any](d Dioid[W], a, b W) bool { return !d.Less(b, a) }
-
 // Eq reports order-equivalence of a and b under d.
 func Eq[W any](d Dioid[W], a, b W) bool { return !d.Less(a, b) && !d.Less(b, a) }
-
-// Sum folds Times over ws, returning One for an empty slice.
-func Sum[W any](d Dioid[W], ws ...W) W {
-	acc := d.One()
-	for _, w := range ws {
-		acc = d.Times(acc, w)
-	}
-	return acc
-}
-
-// Min folds Plus over ws, returning Zero for an empty slice.
-func Min[W any](d Dioid[W], ws ...W) W {
-	acc := d.Zero()
-	for _, w := range ws {
-		acc = d.Plus(acc, w)
-	}
-	return acc
-}

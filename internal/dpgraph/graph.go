@@ -115,6 +115,9 @@ type Stage[W any] struct {
 	members []int32
 	costs   []W
 	starts  []int32
+	// ownCols is set when Build allocated Cols (transposing a Rows input)
+	// rather than keeping the input's columns.
+	ownCols bool
 }
 
 // hasPrunedChild reports whether st folds a pruned branch into EffWeight,
@@ -179,6 +182,7 @@ func Build[W any](d dioid.Dioid[W], inputs []StageInput[W], outVars []string) (*
 			Weight: in.Weights,
 			Opt:    make([]W, len(in.Weights)),
 		}
+		st.ownCols = in.Cols == nil
 		parent := g.Stages[st.Parent]
 		st.Branch = len(parent.ChildStages)
 		parent.ChildStages = append(parent.ChildStages, st.Index)
@@ -364,23 +368,29 @@ func (g *Graph[W]) NumStates() int {
 	return n
 }
 
-// SizeBytes returns the bytes of every array reachable from the graph: value
-// blocks, weights, links, the choice-set CSR and the group table. Value
-// blocks and Weight arrays built from a columnar StageInput are shared with
-// it, not copied, and are counted here all the same — including arrays the
-// graph does not own at all, such as the relation column and weight blocks
-// that query lowering borrows for a stage of every row.
+// SizeBytes returns the bytes of the arrays Build allocates: Opt, a separate
+// EffWeight, links, the choice-set CSR, the group table, the root's Weight,
+// and the value blocks of a stage given as Rows. Arrays the graph shares
+// with its stage inputs are not counted: the Cols blocks of a columnar input
+// and every input's Weights belong to whoever built the inputs (query
+// lowering lends the relation's own blocks for a stage of every row).
 func (g *Graph[W]) SizeBytes() int64 {
 	var w W
 	wsize := int64(unsafe.Sizeof(w))
 	var total int64
-	for _, st := range g.Stages {
+	for i, st := range g.Stages {
 		n := int64(st.N)
-		weights := int64(2) // Weight, Opt
+		weights := int64(1) // Opt
+		if i == 0 {
+			weights++ // the root's Weight is Build's own
+		}
 		if g.hasPrunedChild(st) {
 			weights++ // EffWeight is an array of its own
 		}
-		total += n*8*int64(len(st.Cols)) + n*wsize*weights
+		if st.ownCols {
+			total += n * 8 * int64(len(st.Cols))
+		}
+		total += n * wsize * weights
 		total += int64(len(st.Links)+len(st.members)+len(st.starts))*4 + int64(len(st.costs))*wsize
 		total += int64(len(st.Groups)) * int64(unsafe.Sizeof(Group[W]{}))
 	}

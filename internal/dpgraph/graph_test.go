@@ -215,3 +215,56 @@ func TestPrunedBranchFoldsIntoEffWeight(t *testing.T) {
 		t.Fatalf("OutVars = %v", g.OutVars)
 	}
 }
+
+// TestSizeBytesCountsOwnedArraysOnly pins what SizeBytes (the dp_bytes trace
+// counter) counts: the arrays Build allocates, never the Cols blocks and
+// Weights a columnar stage input lends the graph. For R(x,y) (3 rows, one
+// group under the root) and S(y,z) (2 rows, two groups) under tropical
+// float64, with 64-byte Group headers:
+//
+//	root: Weight + Opt 16, Links 4                                     =  20
+//	R:    Opt 24, Links 12, members 12, starts 8, costs 24, groups 64  = 144
+//	S:    Opt 16, members 8, starts 12, costs 16, groups 128           = 180
+//
+// The same inputs spelled as Rows add the transposed value blocks Build
+// allocates for them: 8 B × (3×2 + 2×2).
+func TestSizeBytesCountsOwnedArraysOnly(t *testing.T) {
+	rows := [][][]Value{{{1, 2}, {3, 2}, {5, 4}}, {{2, 7}, {4, 8}}}
+	vars := [][]string{{"x", "y"}, {"y", "z"}}
+	weights := [][]float64{{1, 2, 3}, {1, 1}}
+	build := func(columnar bool) *Graph[float64] {
+		inputs := make([]StageInput[float64], len(rows))
+		for i := range rows {
+			in := StageInput[float64]{Name: vars[i][0], Vars: vars[i], Weights: weights[i], Parent: i - 1}
+			if columnar {
+				in.Cols = make([][]Value, len(vars[i]))
+				for _, row := range rows[i] {
+					for c, v := range row {
+						in.Cols[c] = append(in.Cols[c], v)
+					}
+				}
+			} else {
+				in.Rows = rows[i]
+			}
+			inputs[i] = in
+		}
+		g, err := Build[float64](dioid.Tropical{}, inputs, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	for _, tc := range []struct {
+		columnar bool
+		want     int64
+	}{{true, 344}, {false, 344 + 8*(3*2+2*2)}} {
+		g := build(tc.columnar)
+		if got := g.SizeBytes(); got != tc.want {
+			t.Errorf("columnar=%v: SizeBytes %d, want %d", tc.columnar, got, tc.want)
+		}
+		g.BottomUp()
+		if got := g.SizeBytes(); got != tc.want {
+			t.Errorf("columnar=%v: SizeBytes %d after BottomUp, want %d", tc.columnar, got, tc.want)
+		}
+	}
+}

@@ -48,7 +48,8 @@ func TestAttributeWeights(t *testing.T) {
 		// some R row with these values
 		base := row.Weight - wx(x) - wy(y)
 		found := false
-		for i, rrow := range rel.Rows() {
+		for i := range rel.Size() {
+			rrow := rel.Row(i)
 			if rrow[0] == x && rrow[1] == y && rel.Weights[i] == base {
 				found = true
 				break

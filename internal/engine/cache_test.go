@@ -93,7 +93,7 @@ func TestCacheInvalidationOnRelationReplace(t *testing.T) {
 	testkit.CollectOpt(t, db, q, dioid.Tropical{}, core.Take2, opt) // fill
 	old := db.Relation(q.Atoms[1].Rel)
 	repl := relation.New(old.Name, old.Attrs...)
-	for i := range old.Rows() {
+	for i := range old.Size() {
 		if i%2 == 0 {
 			repl.Add(old.Weights[i]+1, old.Row(i)...)
 		}

@@ -142,8 +142,8 @@ type Iterator[W any] struct {
 	Vars []string
 	// Types is the logical type of each output variable (Vars order): rows
 	// carry dense int64 codes, and Types says what TypedVals decodes them to.
-	// Nil for untyped iterators — all-int64 schemas and iterators built
-	// without a database (EnumerateUnion) — matching Typed() == false.
+	// Nil for untyped iterators (all-int64 schemas), matching
+	// Typed() == false.
 	// Iterators over one cached plan share it: treat it as read-only.
 	Types []relation.Type
 	// dicts resolves encoded columns per output variable; nil entries (and a
@@ -350,20 +350,12 @@ func ghdPlanInfo(plan *hypertree.Plan) PlanInfo {
 	return info
 }
 
-// EnumerateUnion runs the UT-DP framework (Section 5.2) over an arbitrary
-// union of T-DP stage-input trees — the hook for plugging in any
-// decomposition, as the paper's framework promises. Each tree's graph is
-// built once, whatever the parallelism. With an effective parallelism p above
-// 1 every graph is split into up to p views (dpgraph.Graph.Shards) whose
-// enumerators feed the parallel loser-tree merge, so every decomposition —
-// including the GHD route — parallelizes through this single seam. The graphs
-// are never cached: there is no plan to key them by.
-func EnumerateUnion[W any](d dioid.Dioid[W], trees [][]dpgraph.StageInput[W], outVars []string, alg core.Algorithm, opt Options) (*Iterator[W], error) {
-	return enumerateUnion(d, trees, outVars, "", alg, opt)
-}
-
-// enumerateUnion is EnumerateUnion over the graphs cached under planKey
-// (none when it is empty).
+// enumerateUnion runs the UT-DP framework (Section 5.2) over a union of T-DP
+// stage-input trees, with the graphs cached under planKey (none when it is
+// empty). Each tree's graph is built once, whatever the parallelism. With an
+// effective parallelism p above 1 every graph is split into up to p views
+// (dpgraph.Graph.Shards) whose enumerators feed the parallel loser-tree
+// merge, so every route parallelizes through this single seam.
 func enumerateUnion[W any](d dioid.Dioid[W], trees [][]dpgraph.StageInput[W], outVars []string, planKey string, alg core.Algorithm, opt Options) (*Iterator[W], error) {
 	graphs, err := cachedGraphs(d, trees, outVars, planKey, opt)
 	if err != nil {
@@ -577,9 +569,9 @@ func (emptyIter[W]) Next() (core.Row[W], bool) { return core.Row[W]{}, false }
 // counts its full-join witnesses, as AllWeights enumerates them), builds the
 // graphs serially, and sums the counting recurrence over the reduced DP state
 // space of each tree. Like Enumerate it rejects projections over cyclic
-// queries. The experiment harness uses it to size panels and to skip Batch
-// when the full output would not fit in memory — mirroring the paper's
-// observation that Batch runs out of memory on inputs any-k handles easily.
+// queries. The benchmark checks each workload's oracle stream against it
+// without materializing the output — Batch runs out of memory on inputs
+// any-k handles easily, as the paper observes.
 // Cyclic routes pay their decomposition's bag-materialization cost (bounded
 // by n^width for GHD plans — the same preprocessing any enumeration of the
 // query performs), not the output size; only the counting itself is free.

@@ -200,10 +200,10 @@ func TestMinWeightProjectionExample19(t *testing.T) {
 	// Brute-force min-weight projection.
 	type row4 [4]relation.Value
 	best := map[row4]float64{}
-	for i1 := range e1.Rows() {
-		for i2 := range e2.Rows() {
-			for i3 := range e3.Rows() {
-				for i4 := range e4.Rows() {
+	for i1 := range e1.Size() {
+		for i2 := range e2.Size() {
+			for i3 := range e3.Size() {
+				for i4 := range e4.Size() {
 					if e1.At(i1, 1) != e2.At(i2, 0) || e3.At(i3, 1) != e1.At(i1, 0) || e4.At(i4, 1) != e2.At(i2, 1) {
 						continue
 					}
@@ -368,9 +368,9 @@ func TestTieBreakWithOverlappingUnion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	it, err := EnumerateUnion[dioid.TieWeight[float64]](d,
+	it, err := enumerateUnion[dioid.TieWeight[float64]](d,
 		[][]dpgraph.StageInput[dioid.TieWeight[float64]]{inputs, inputs},
-		q.Vars(), core.Take2, Options{Dedup: true})
+		q.Vars(), "", core.Take2, Options{Dedup: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,8 +400,8 @@ func TestBottleneckRanking(t *testing.T) {
 	// brute force bottlenecks
 	r1, r2 := db.Relation("R1"), db.Relation("R2")
 	var want []float64
-	for i1 := range r1.Rows() {
-		for i2 := range r2.Rows() {
+	for i1 := range r1.Size() {
+		for i2 := range r2.Size() {
 			if r1.At(i1, 1) != r2.At(i2, 0) {
 				continue
 			}

@@ -10,12 +10,12 @@ import (
 	"anyk/internal/query"
 )
 
-// TestEnumerateUnionEmptyTreesParallel: the exported union hook must return
-// an empty iterator — not panic — for an empty decomposition, on the
-// parallel path as on the serial one.
+// TestEnumerateUnionEmptyTreesParallel: the union step must return an empty
+// iterator — not panic — for an empty decomposition, on the parallel path as
+// on the serial one.
 func TestEnumerateUnionEmptyTreesParallel(t *testing.T) {
 	for _, p := range []int{1, 2, 4} {
-		it, err := EnumerateUnion[float64](dioid.Tropical{}, nil, []string{"x"}, core.Take2, Options{Parallelism: p})
+		it, err := enumerateUnion[float64](dioid.Tropical{}, nil, []string{"x"}, "", core.Take2, Options{Parallelism: p})
 		if err != nil {
 			t.Fatalf("p=%d: %v", p, err)
 		}

@@ -79,8 +79,7 @@ func typedSchema(db *relation.DB, q *query.CQ, outVars []string) ([]relation.Typ
 }
 
 // Typed reports whether any output column is dictionary-encoded — i.e.
-// whether TypedVals is more than the identity. Iterators built directly
-// through EnumerateUnion (no database in sight) are never typed.
+// whether TypedVals is more than the identity.
 func (it *Iterator[W]) Typed() bool { return it.dicts != nil }
 
 // TypedVals decodes one row's dense int64 codes into their logical values

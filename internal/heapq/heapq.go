@@ -1,6 +1,6 @@
 // Package heapq provides the generic binary-heap priority queues used by all
 // any-k enumerators: O(n) heapification (required for the linear-preprocessing
-// claims of Lazy and Take2), pop-min, and batch insertion.
+// claims of Lazy and Take2) and pop-min.
 package heapq
 
 // Heap is a binary min-heap over T ordered by a caller-supplied strict
@@ -61,30 +61,6 @@ func (h *Heap[T]) Pop() (min T, ok bool) {
 	return min, true
 }
 
-// PushAll inserts a batch; cheaper than repeated Push when the batch is a
-// constant fraction of the heap ("bulk inserts which heapify the inserted
-// elements", Section 7 implementation notes).
-func (h *Heap[T]) PushAll(xs []T) {
-	if len(xs) == 0 {
-		return
-	}
-	if len(xs) >= len(h.items)/2 {
-		h.items = append(h.items, xs...)
-		for i := len(h.items)/2 - 1; i >= 0; i-- {
-			h.down(i)
-		}
-		return
-	}
-	for _, x := range xs {
-		h.Push(x)
-	}
-}
-
-// Items exposes the backing array in heap order. Take2 uses this to treat the
-// heap as a static partial order: the children of items[i] are items[2i+1]
-// and items[2i+2], each no lighter than their parent.
-func (h *Heap[T]) Items() []T { return h.items }
-
 func (h *Heap[T]) up(i int) {
 	for i > 0 {
 		p := (i - 1) / 2
@@ -119,15 +95,4 @@ func (h *Heap[T]) down(i int) {
 // (items[i] ≤ items[2i+1], items[2i+2]). O(n).
 func Heapify[T any](items []T, less func(a, b T) bool) {
 	From(items, less)
-}
-
-// IsHeap reports whether items satisfies the binary-heap property; used by
-// tests and by Take2's invariant assertions.
-func IsHeap[T any](items []T, less func(a, b T) bool) bool {
-	for i := 1; i < len(items); i++ {
-		if less(items[i], items[(i-1)/2]) {
-			return false
-		}
-	}
-	return true
 }

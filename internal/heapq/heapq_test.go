@@ -9,6 +9,16 @@ import (
 
 func intLess(a, b int) bool { return a < b }
 
+// isHeap reports whether items satisfies the binary-heap property.
+func isHeap[T any](items []T, less func(a, b T) bool) bool {
+	for i := 1; i < len(items); i++ {
+		if less(items[i], items[(i-1)/2]) {
+			return false
+		}
+	}
+	return true
+}
+
 func TestEmpty(t *testing.T) {
 	h := New[int](0, intLess)
 	if h.Len() != 0 {
@@ -49,7 +59,7 @@ func TestFromHeapifies(t *testing.T) {
 	err := quick.Check(func(xs []int) bool {
 		cp := append([]int(nil), xs...)
 		h := From(cp, intLess)
-		if !IsHeap(h.Items(), intLess) {
+		if !isHeap(h.items, intLess) {
 			return false
 		}
 		want := append([]int(nil), xs...)
@@ -64,32 +74,6 @@ func TestFromHeapifies(t *testing.T) {
 	}, &quick.Config{MaxCount: 200})
 	if err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestPushAll(t *testing.T) {
-	r := rand.New(rand.NewSource(2))
-	for trial := 0; trial < 30; trial++ {
-		h := New[int](0, intLess)
-		var all []int
-		for batch := 0; batch < 5; batch++ {
-			xs := make([]int, r.Intn(50))
-			for i := range xs {
-				xs[i] = r.Intn(1000)
-			}
-			all = append(all, xs...)
-			h.PushAll(xs)
-			if !IsHeap(h.Items(), intLess) {
-				t.Fatal("heap property violated after PushAll")
-			}
-		}
-		sort.Ints(all)
-		for _, w := range all {
-			got, _ := h.Pop()
-			if got != w {
-				t.Fatalf("got %d want %d", got, w)
-			}
-		}
 	}
 }
 
@@ -111,13 +95,13 @@ func TestTake2StaticOrder(t *testing.T) {
 }
 
 func TestIsHeapDetectsViolation(t *testing.T) {
-	if !IsHeap([]int{1, 2, 3}, intLess) {
+	if !isHeap([]int{1, 2, 3}, intLess) {
 		t.Fatal("valid heap rejected")
 	}
-	if IsHeap([]int{3, 1, 2}, intLess) {
+	if isHeap([]int{3, 1, 2}, intLess) {
 		t.Fatal("invalid heap accepted")
 	}
-	if !IsHeap([]int{}, intLess) || !IsHeap([]int{5}, intLess) {
+	if !isHeap([]int{}, intLess) || !isHeap([]int{5}, intLess) {
 		t.Fatal("trivial heaps rejected")
 	}
 }

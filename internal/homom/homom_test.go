@@ -31,7 +31,8 @@ func bruteHoms(pattern []PatternEdge, target *relation.Relation) []float64 {
 		}
 	}
 	nodeSet := map[relation.Value]bool{}
-	for _, row := range target.Rows() {
+	for i := range target.Size() {
+		row := target.Row(i)
 		nodeSet[row[0]] = true
 		nodeSet[row[1]] = true
 	}
@@ -48,7 +49,8 @@ func bruteHoms(pattern []PatternEdge, target *relation.Relation) []float64 {
 			total := []float64{0}
 			for _, e := range pattern {
 				var ws []float64
-				for ri, row := range target.Rows() {
+				for ri := range target.Size() {
+					row := target.Row(ri)
 					if row[0] == assign[e.From] && row[1] == assign[e.To] {
 						ws = append(ws, target.Weights[ri])
 					}

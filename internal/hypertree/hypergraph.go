@@ -3,7 +3,7 @@
 // promise (Section 5.2) beyond the hand-rolled simple-cycle decomposition of
 // Section 5.3: any full CQ — triangles with appendages, cliques, chordal
 // cycles, arbitrary graph patterns — is decomposed into a join tree of
-// materialized bags that feeds engine.EnumerateUnion.
+// materialized bags that feeds the engine's UT-DP union.
 //
 // The pipeline is
 //

@@ -14,7 +14,7 @@ import (
 
 // Materialize evaluates every bag of the plan against db and lowers the join
 // tree to dpgraph stage inputs (in the plan's preorder, parents first),
-// ready for engine.EnumerateUnion. Bag sub-joins run through the
+// ready for dpgraph.Build. Bag sub-joins run through the
 // worst-case-optimal generic join; each bag's rows carry the ⊗-combined
 // lifted weights of exactly its assigned atoms, with the original atom index
 // as the lift stage — the same serialization the acyclic engine uses, so

@@ -17,7 +17,6 @@ import (
 	"anyk/internal/core"
 	"anyk/internal/dioid"
 	"anyk/internal/dpgraph"
-	"anyk/internal/engine"
 	"anyk/internal/hypertree"
 	"anyk/internal/join"
 	"anyk/internal/query"
@@ -56,7 +55,9 @@ func randomCyclicCQ(r *rand.Rand) *query.CQ {
 	}
 }
 
-// enumerateGHD runs the full planner pipeline under dioid d.
+// enumerateGHD runs the full planner pipeline under dioid d: decompose,
+// materialize the bags, then build, reduce and enumerate the bag tree's
+// T-DP graph.
 func enumerateGHD[W any](t *testing.T, d dioid.Dioid[W], db *relation.DB, q *query.CQ) []core.Row[W] {
 	t.Helper()
 	plan, err := hypertree.Decompose(q)
@@ -67,12 +68,20 @@ func enumerateGHD[W any](t *testing.T, d dioid.Dioid[W], db *relation.DB, q *que
 	if err != nil {
 		t.Fatalf("%s: materialize: %v", q, err)
 	}
-	it, err := engine.EnumerateUnion[W](d, [][]dpgraph.StageInput[W]{inputs}, q.Vars(), core.Take2, engine.Options{Parallelism: 1})
+	g, err := dpgraph.Build[W](d, inputs, q.Vars())
 	if err != nil {
-		t.Fatalf("%s: enumerate: %v", q, err)
+		t.Fatalf("%s: build: %v", q, err)
 	}
-	defer it.Close()
-	return it.Drain(0)
+	g.BottomUp()
+	if g.Empty() {
+		return nil
+	}
+	it := core.NewGraphIter[W](g, core.New[W](g, core.Take2), 0)
+	var rows []core.Row[W]
+	for r, ok := it.Next(); ok; r, ok = it.Next() {
+		rows = append(rows, r)
+	}
+	return rows
 }
 
 // genericJoinKeys formats the batch join reference for multiset comparison.

@@ -29,7 +29,8 @@ func naive(db *relation.DB, q *query.CQ) []Result {
 		}
 		a := q.Atoms[ai]
 		r := db.Relation(a.Rel)
-		for ri, row := range r.Rows() {
+		for ri := range r.Size() {
+			row := r.Row(ri)
 			okRow := true
 			var newly []int
 			for c, v := range a.Vars {

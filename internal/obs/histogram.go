@@ -146,25 +146,6 @@ func (h *Histogram) Snapshot() HistSnapshot {
 	return s
 }
 
-// Merge folds o into s (bucket-wise sums; max of maxes). Both snapshots must
-// come from Histogram.Snapshot so the bucket layouts agree; s may be the
-// zero snapshot.
-func (s *HistSnapshot) Merge(o HistSnapshot) {
-	if s.Buckets == nil {
-		s.Buckets = make([]HistBucket, len(o.Buckets))
-		copy(s.Buckets, o.Buckets)
-	} else {
-		for i := range o.Buckets {
-			s.Buckets[i].Count += o.Buckets[i].Count
-		}
-	}
-	s.Count += o.Count
-	s.Sum += o.Sum
-	if o.Max > s.Max {
-		s.Max = o.Max
-	}
-}
-
 // Quantile returns the p-quantile (0 < p ≤ 1) by nearest rank over the
 // buckets: the upper bound of the bucket holding the ⌈p·count⌉-th
 // observation, capped at the maximum observed value so single-bucket

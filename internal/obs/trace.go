@@ -82,24 +82,16 @@ func (t *Trace) RecordSpan(name string, start, end time.Time) {
 	t.spans = append(t.spans, span{name: name, parent: -1, start: start.Sub(t.start), end: end.Sub(t.start)})
 }
 
-// ObserveDelay records one inter-result delay.
-func (t *Trace) ObserveDelay(d time.Duration) {
-	if t == nil {
-		return
-	}
-	t.delays.Observe(d.Seconds())
-}
-
 // delayFlushEvery bounds how many observations a DelayBuf holds back before
 // publishing: snapshots taken mid-stream lag by at most this many delays.
 const delayFlushEvery = 256
 
 // DelayBuf is a buffering accumulator for a trace's inter-result delays.
-// ObserveDelay on the trace costs several atomic read-modify-writes per call
-// — cheap for HTTP handlers, too dear for an enumerator emitting a row every
-// few hundred nanoseconds — so the hot path buckets into plain counters under
-// one uncontended mutex and batches into the shared histogram every
-// delayFlushEvery observations and on Flush. The mutex (rather than owner
+// Observing straight into the trace's histogram costs several atomic
+// read-modify-writes per call — too dear for an enumerator emitting a row
+// every few hundred nanoseconds — so the hot path buckets into plain
+// counters under one uncontended mutex and batches into the shared histogram
+// every delayFlushEvery observations and on Flush. The mutex (rather than owner
 // discipline) keeps a Flush racing in from another goroutine — a session
 // evicted mid-page flushes from the manager — safe; concurrent DelaySnapshot
 // readers are safe because publishing goes through the histogram's atomics.
@@ -182,16 +174,6 @@ func (t *Trace) SetCounter(name string, v int64) {
 	}
 	t.mu.Lock()
 	t.ctrs[name] = v
-	t.mu.Unlock()
-}
-
-// AddCounter adds v to a named counter.
-func (t *Trace) AddCounter(name string, v int64) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.ctrs[name] += v
 	t.mu.Unlock()
 }
 

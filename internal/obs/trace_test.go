@@ -23,7 +23,6 @@ func TestTraceSpansAndTree(t *testing.T) {
 	tr.End(build)
 	tr.RecordSpan("first-next", time.Now().Add(-time.Millisecond), time.Now())
 	tr.SetCounter("candidates_inserted", 42)
-	tr.AddCounter("candidates_inserted", 1)
 
 	s := tr.Snapshot()
 	if len(s.Spans) != 5 {
@@ -44,7 +43,7 @@ func TestTraceSpansAndTree(t *testing.T) {
 	if children != 3 {
 		t.Fatalf("children %d", children)
 	}
-	if got := tr.Counter("candidates_inserted"); got != 43 {
+	if got := tr.Counter("candidates_inserted"); got != 42 {
 		t.Fatalf("counter %d", got)
 	}
 	tree := s.Tree()
@@ -55,9 +54,11 @@ func TestTraceSpansAndTree(t *testing.T) {
 
 func TestTraceDelays(t *testing.T) {
 	tr := NewTrace()
+	b := tr.DelayBuf()
 	for i := 0; i < 10; i++ {
-		tr.ObserveDelay(2 * time.Microsecond)
+		b.Observe(2 * time.Microsecond)
 	}
+	b.Flush()
 	d := tr.DelaySnapshot()
 	if d.Count != 10 {
 		t.Fatalf("count %d", d.Count)
@@ -75,9 +76,8 @@ func TestNilTraceIsNoOp(t *testing.T) {
 	tr.End(id)
 	tr.BeginChild(id, "y")
 	tr.RecordSpan("z", time.Now(), time.Now())
-	tr.ObserveDelay(time.Second)
+	tr.DelayBuf().Observe(time.Second)
 	tr.SetCounter("c", 1)
-	tr.AddCounter("c", 1)
 	if tr.Counter("c") != 0 {
 		t.Fatal("nil trace counter")
 	}

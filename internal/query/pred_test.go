@@ -81,9 +81,7 @@ func newPredTestRel(t *testing.T) *relation.Relation {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rel.AddTyped(1.0, int64(7), 2.5, "paper", int64(7)); err != nil {
-		t.Fatal(err)
-	}
+	rel.Add(1.0, 7, dict.EncodeFloat(2.5), dict.EncodeString("paper"), 7)
 	return rel
 }
 

@@ -289,18 +289,6 @@ func preorder(parent []int, root int) []int {
 	return order
 }
 
-// Children returns the child atom indices of node u.
-func (t *JoinTree) Children(u int) []int {
-	var out []int
-	for i, p := range t.Parent {
-		if p == u {
-			out = append(out, i)
-		}
-	}
-	sort.Ints(out)
-	return out
-}
-
 // JoinVars returns the equi-join variables between atom c and its parent.
 func (t *JoinTree) JoinVars(c int) []string {
 	p := t.Parent[c]
@@ -327,47 +315,4 @@ func (t *JoinTree) Reroot(newRoot int) *JoinTree {
 	nt := &JoinTree{Q: t.Q, Parent: parent, Root: newRoot}
 	nt.Order = preorder(parent, newRoot)
 	return nt
-}
-
-// VerifyJoinTree checks the running-intersection (coherence) property: for
-// every variable, the atoms containing it induce a connected subtree. Used by
-// tests and by the free-connex planner's safety check.
-func VerifyJoinTree(q *CQ, parent []int) bool {
-	n := len(q.Atoms)
-	if n == 0 {
-		return true
-	}
-	root := rootOf(parent)
-	if root < 0 {
-		return false
-	}
-	for _, v := range q.Vars() {
-		// Collect atoms containing v; check they form a connected subtree:
-		// all but one must have a parent (within the set) reachable by
-		// walking up through atoms that also contain v... equivalently the
-		// topmost atom containing v is unique.
-		tops := 0
-		for i, a := range q.Atoms {
-			if !hasVar(a, v) {
-				continue
-			}
-			p := parent[i]
-			if p == -1 || !hasVar(q.Atoms[p], v) {
-				tops++
-			}
-		}
-		if tops > 1 {
-			return false
-		}
-	}
-	return true
-}
-
-func hasVar(a Atom, v string) bool {
-	for _, x := range a.Vars {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }

@@ -68,7 +68,7 @@ func TestJoinTreeValid(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", q.Name, err)
 		}
-		if !VerifyJoinTree(q, tr.Parent) {
+		if !verifyJoinTree(q, tr.Parent) {
 			t.Fatalf("%s: join tree violates running intersection", q.Name)
 		}
 		if len(tr.Order) != len(q.Atoms) || tr.Order[0] != tr.Root {
@@ -101,7 +101,7 @@ func TestReroot(t *testing.T) {
 		if rt.Root != newRoot || rt.Parent[newRoot] != -1 {
 			t.Fatalf("reroot at %d failed", newRoot)
 		}
-		if !VerifyJoinTree(q, rt.Parent) {
+		if !verifyJoinTree(q, rt.Parent) {
 			t.Fatalf("rerooted tree at %d invalid", newRoot)
 		}
 		// still a tree: n-1 edges, all reachable
@@ -242,7 +242,7 @@ func TestGYORandomAcyclicAlwaysVerifies(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v (%s)", trial, err, q)
 		}
-		if !VerifyJoinTree(q, tr.Parent) {
+		if !verifyJoinTree(q, tr.Parent) {
 			t.Fatalf("trial %d: invalid join tree for %s", trial, q)
 		}
 	}
@@ -280,4 +280,46 @@ func TestCliqueQueryAndParseFamily(t *testing.T) {
 	if _, err := ParseFamily("cliqueX"); err == nil {
 		t.Fatal("expected error for bad clique size")
 	}
+}
+
+// verifyJoinTree checks the running-intersection (coherence) property: for
+// every variable, the atoms containing it induce a connected subtree.
+func verifyJoinTree(q *CQ, parent []int) bool {
+	n := len(q.Atoms)
+	if n == 0 {
+		return true
+	}
+	root := rootOf(parent)
+	if root < 0 {
+		return false
+	}
+	for _, v := range q.Vars() {
+		// Collect atoms containing v; check they form a connected subtree:
+		// all but one must have a parent (within the set) reachable by
+		// walking up through atoms that also contain v... equivalently the
+		// topmost atom containing v is unique.
+		tops := 0
+		for i, a := range q.Atoms {
+			if !hasVar(a, v) {
+				continue
+			}
+			p := parent[i]
+			if p == -1 || !hasVar(q.Atoms[p], v) {
+				tops++
+			}
+		}
+		if tops > 1 {
+			return false
+		}
+	}
+	return true
+}
+
+func hasVar(a Atom, v string) bool {
+	for _, x := range a.Vars {
+		if x == v {
+			return true
+		}
+	}
+	return false
 }

@@ -290,26 +290,3 @@ func autoAttrs(n int) []string {
 	}
 	return attrs
 }
-
-// WriteCSV writes the relation in a format the loaders read back: logical
-// values (decoded through the relation's dictionary) with the weight last.
-// String values are written raw, so strings containing the separator do not
-// round-trip — WriteCSV is a debugging aid, not an archival format.
-func WriteCSV(w io.Writer, r *Relation) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "# %s(%s), last column = weight\n", r.Name, strings.Join(r.Attrs, ","))
-	for i := 0; i < r.Size(); i++ {
-		for c := 0; c < r.Arity(); c++ {
-			switch lv := r.Dict.Decode(r.ColType(c), r.At(i, c)).(type) {
-			case float64:
-				fmt.Fprintf(bw, "%g,", lv)
-			case string:
-				fmt.Fprintf(bw, "%s,", lv)
-			default:
-				fmt.Fprintf(bw, "%d,", lv)
-			}
-		}
-		fmt.Fprintf(bw, "%g\n", r.Weights[i])
-	}
-	return bw.Flush()
-}

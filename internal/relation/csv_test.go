@@ -1,7 +1,6 @@
 package relation
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -143,23 +142,6 @@ func TestLoadCSVAutoEmptyFieldArity(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "empty field") {
 		t.Fatalf("error %q, want mention of the empty field", err)
-	}
-}
-
-func TestCSVRoundTrip(t *testing.T) {
-	r := New("R", "a", "b")
-	r.Add(0.5, 1, 2)
-	r.Add(3, -4, 5)
-	var buf bytes.Buffer
-	if err := WriteCSV(&buf, r); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadCSVTyped(&buf, NewDictionary(), "R", "a", "b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Size() != 2 || got.At(1, 0) != -4 || got.Weights[0] != 0.5 {
-		t.Fatalf("round trip: %+v", got)
 	}
 }
 

@@ -145,8 +145,8 @@ func (d *Dictionary) Decode(t Type, v Value) any {
 
 // Encode interns one logical Go value (int64, float64, or string — plus the
 // common widening int/float32 spellings) under logical type t. It is the
-// programmatic counterpart of the CSV ingest path, used by code-constructed
-// typed relations.
+// programmatic counterpart of the CSV ingest path; Reencode moves a
+// relation onto another dictionary through it.
 func (d *Dictionary) Encode(t Type, logical any) (Value, error) {
 	switch t {
 	case TypeInt64:

@@ -19,7 +19,7 @@ func filterTestRel(t *testing.T, n int) *Relation {
 	for i := 0; i < n; i++ {
 		a := int64(rng.Intn(100))
 		b := int64(rng.Intn(100))
-		if _, err := rel.AddTyped(float64(i), a, b, float64(rng.Intn(100))/4); err != nil {
+		if err := addLogical(rel, float64(i), a, b, float64(rng.Intn(100))/4); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -125,8 +125,8 @@ func checkLoaded(t *testing.T, rel *Relation) {
 			t.Fatalf("column %d has %d values but %d weights", c, len(rel.Col(c)), len(rel.Weights))
 		}
 	}
-	for i, row := range rel.Rows() {
-		if len(row) != len(rel.Attrs) {
+	for i := range rel.Size() {
+		if row := rel.Row(i); len(row) != len(rel.Attrs) {
 			t.Fatalf("row %d has %d values, schema has %d attrs", i, len(row), len(rel.Attrs))
 		}
 	}
@@ -164,8 +164,8 @@ func FuzzLoadCSVTyped(f *testing.F) {
 		if len(rel.Types) != len(rel.Attrs) {
 			t.Fatalf("%d column types for %d attrs", len(rel.Types), len(rel.Attrs))
 		}
-		for i, row := range rel.Rows() {
-			for c, v := range row {
+		for i := range rel.Size() {
+			for c, v := range rel.Row(i) {
 				switch rel.ColType(c) {
 				case TypeFloat64:
 					if _, ok := dict.DecodeFloat(v); !ok {

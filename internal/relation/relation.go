@@ -29,7 +29,7 @@ func nextStamp() uint64 { return stampCounter.Add(1) }
 // Relation is a named, weighted relation stored column-major: column c of row
 // i lives at cols[c][i], one contiguous []int64 block per column, addressed
 // by row-id. Row i has input weight Weights[i]. Relations are bags: duplicate
-// rows are allowed. Row-shaped access (Row, AppendRow, Project) assembles
+// rows are allowed. Row-shaped access (Row, AppendRow, ProjectInto) assembles
 // values out of the column blocks on demand; hot paths read columns directly
 // via At/Col.
 //
@@ -129,39 +129,6 @@ func (r *Relation) HasEncodedCols() bool {
 		}
 	}
 	return false
-}
-
-// AddTyped appends a row of logical values (int64/int, float64, string per
-// the column schema), encoding through the relation's dictionary. It is the
-// programmatic twin of typed CSV ingest.
-func (r *Relation) AddTyped(w float64, logical ...any) (int, error) {
-	if len(logical) != len(r.Attrs) {
-		return -1, fmt.Errorf("relation %s: row arity %d != schema arity %d", r.Name, len(logical), len(r.Attrs))
-	}
-	vals := make([]Value, len(logical))
-	for i, lv := range logical {
-		t := r.ColType(i)
-		d := r.Dict
-		if t != TypeInt64 && d == nil {
-			return -1, fmt.Errorf("relation %s col %d: %s column without a dictionary", r.Name, i+1, t)
-		}
-		v, err := d.Encode(t, lv)
-		if err != nil {
-			return -1, fmt.Errorf("relation %s col %d: %w", r.Name, i+1, err)
-		}
-		vals[i] = v
-	}
-	return r.TryAdd(w, vals...)
-}
-
-// DecodeRow resolves one physical row into its logical values (int64,
-// float64, or string per column) against the relation's dictionary.
-func (r *Relation) DecodeRow(row []Value) []any {
-	out := make([]any, len(row))
-	for i, v := range row {
-		out[i] = r.Dict.Decode(r.ColType(i), v)
-	}
-	return out
 }
 
 // Reencode returns a relation with the same logical contents whose encoded
@@ -274,24 +241,6 @@ func (r *Relation) AppendRow(dst []Value, i int) []Value {
 	return dst
 }
 
-// Rows materializes every row as a slice view. The returned rows share one
-// flat backing block (row-major), so the whole view costs two allocations; it
-// is a snapshot, not live storage. Kept as the thin compatibility surface for
-// row-oriented consumers — hot paths read columns instead.
-func (r *Relation) Rows() [][]Value {
-	n, a := r.Size(), r.Arity()
-	flat := make([]Value, n*a)
-	rows := make([][]Value, n)
-	for i := 0; i < n; i++ {
-		row := flat[i*a : (i+1)*a : (i+1)*a]
-		for c, col := range r.cols {
-			row[c] = col[i]
-		}
-		rows[i] = row
-	}
-	return rows
-}
-
 // SizeBytes reports the relation's resident heap size exactly against the
 // columnar layout: the capacity of every column block and of the weights
 // block (8 B per value), plus the column-table backing array (one slice
@@ -311,24 +260,9 @@ func (r *Relation) SizeBytes() int64 {
 // Arity returns the number of attributes.
 func (r *Relation) Arity() int { return len(r.Attrs) }
 
-// AttrIndex returns the position of attr in the schema, or -1.
-func (r *Relation) AttrIndex(attr string) int {
-	for i, a := range r.Attrs {
-		if a == attr {
-			return i
-		}
-	}
-	return -1
-}
-
-// Project returns the values of row at the given column positions.
-func (r *Relation) Project(row int, cols []int) []Value {
-	return r.ProjectInto(make([]Value, len(cols)), row, cols)
-}
-
 // ProjectInto writes the values of row at the given column positions into
-// dst (which must have len(cols) capacity) and returns it. The zero-alloc
-// twin of Project for scratch-buffer reuse in build loops.
+// dst (which must have len(cols) capacity) and returns it, so build loops
+// can reuse one scratch buffer.
 func (r *Relation) ProjectInto(dst []Value, row int, cols []int) []Value {
 	dst = dst[:len(cols)]
 	for i, c := range cols {
@@ -520,17 +454,6 @@ func (db *DB) NewDerived(name string, attrs []string, types []Type) (*Relation, 
 
 // Names returns relation names in insertion order.
 func (db *DB) Names() []string { return append([]string(nil), db.order...) }
-
-// MaxSize returns n, the maximum cardinality over all relations.
-func (db *DB) MaxSize() int {
-	n := 0
-	for _, name := range db.order {
-		if s := db.rels[name].Size(); s > n {
-			n = s
-		}
-	}
-	return n
-}
 
 // Key encodes a value vector as a comparable map key. Single-column keys (the
 // common case for the graph queries in the paper) avoid the string encoding.

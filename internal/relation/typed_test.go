@@ -1,12 +1,44 @@
 package relation
 
 import (
-	"bytes"
 	"math"
 	"reflect"
 	"strings"
 	"testing"
 )
+
+// addLogical appends a row of logical values (int64, float64 or string per
+// column) to r, encoding each through r's dictionary.
+func addLogical(r *Relation, w float64, logical ...any) error {
+	vals := make([]Value, len(logical))
+	for c, lv := range logical {
+		v, err := r.Dict.Encode(r.ColType(c), lv)
+		if err != nil {
+			return err
+		}
+		vals[c] = v
+	}
+	_, err := r.TryAdd(w, vals...)
+	return err
+}
+
+// decodeRow resolves row i of r into its logical values.
+func decodeRow(r *Relation, i int) []any {
+	out := make([]any, r.Arity())
+	for c := range out {
+		out[c] = r.Dict.Decode(r.ColType(c), r.At(i, c))
+	}
+	return out
+}
+
+// rowsOf lists r's physical rows.
+func rowsOf(r *Relation) [][]Value {
+	out := make([][]Value, r.Size())
+	for i := range out {
+		out[i] = r.Row(i)
+	}
+	return out
+}
 
 func TestDictionaryEncodeDecodeDense(t *testing.T) {
 	d := NewDictionary()
@@ -83,9 +115,9 @@ func TestLoadCSVTypedMixedColumns(t *testing.T) {
 	if r.At(0, 1) != 1 || r.At(2, 1) != 3 {
 		t.Fatalf("int64 columns must carry raw values, got %v / %v", r.At(0, 1), r.At(2, 1))
 	}
-	got := r.DecodeRow(r.Row(1))
+	got := decodeRow(r, 1)
 	if got[0] != "bob" || got[1] != int64(2) || got[2] != 0.75 {
-		t.Fatalf("DecodeRow = %v", got)
+		t.Fatalf("decoded row %v", got)
 	}
 	if r.Weights[2] != 3.5 {
 		t.Fatalf("weight %v, want 3.5", r.Weights[2])
@@ -106,7 +138,7 @@ func TestLoadCSVTypedWidensAcrossRows(t *testing.T) {
 	}
 	want := []string{"1", "2.5", "alice"}
 	for i, w := range want {
-		if got := r.DecodeRow(r.Row(i))[0]; got != w {
+		if got := decodeRow(r, i)[0]; got != w {
 			t.Fatalf("row %d decodes to %v, want %q", i, got, w)
 		}
 	}
@@ -119,7 +151,7 @@ func TestLoadCSVTypedAllowsSpacesInStrings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := r.DecodeRow(r.Row(0))[0]; got != "New York" {
+	if got := decodeRow(r, 0)[0]; got != "New York" {
 		t.Fatalf("decoded %v, want %q", got, "New York")
 	}
 }
@@ -141,7 +173,7 @@ func TestLoadCSVTypedHugeIntsDoNotRoundIntoFloats(t *testing.T) {
 	if r.At(0, 0) == r.At(1, 0) {
 		t.Fatal("distinct huge integers merged into one code")
 	}
-	if got := r.DecodeRow(r.Row(0))[0]; got != "9007199254740993" {
+	if got := decodeRow(r, 0)[0]; got != "9007199254740993" {
 		t.Fatalf("decoded %v, want the exact digits back", got)
 	}
 	// Integers past int64 range are integer literals too: they must sniff as
@@ -162,11 +194,11 @@ func TestLoadCSVTypedHugeIntsDoNotRoundIntoFloats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fr.AddTyped(1, int64(9007199254740993)); err == nil {
-		t.Fatal("AddTyped rounded a non-representable int64 into a float column")
+	if err := addLogical(fr, 1, int64(9007199254740993)); err == nil {
+		t.Fatal("Encode rounded a non-representable int64 into a float column")
 	}
-	if _, err := fr.AddTyped(1, int64(42)); err != nil {
-		t.Fatalf("AddTyped rejected a representable int64: %v", err)
+	if err := addLogical(fr, 1, int64(42)); err != nil {
+		t.Fatalf("Encode rejected a representable int64: %v", err)
 	}
 }
 
@@ -187,7 +219,7 @@ func TestLoadCSVTypedInt64Passthrough(t *testing.T) {
 		t.Fatalf("all-int64 data interned %d strings, %d floats", ns, nf)
 	}
 	want := [][]Value{{1, 10}, {2, 20}, {7, 5}, {0, -9}}
-	if got := typed.Rows(); !reflect.DeepEqual(got, want) {
+	if got := rowsOf(typed); !reflect.DeepEqual(got, want) {
 		t.Fatalf("rows %v, want %v", got, want)
 	}
 }
@@ -206,12 +238,12 @@ func TestLoadCSVTypedKeepsIntegerSpelling(t *testing.T) {
 	}
 	var strs []any
 	for i := 0; i < r.Size(); i++ {
-		strs = append(strs, r.DecodeRow(r.Row(i))[0])
+		strs = append(strs, decodeRow(r, i)[0])
 	}
 	if want := []any{"007", "+5", "12", "x"}; !reflect.DeepEqual(strs, want) {
 		t.Fatalf("string column %v, want %v", strs, want)
 	}
-	if f := r.DecodeRow(r.Row(0))[1].(float64); f != 0 || !math.Signbit(f) {
+	if f := decodeRow(r, 0)[1].(float64); f != 0 || !math.Signbit(f) {
 		t.Fatalf("-0 loaded as %v, want the float -0", f)
 	}
 }
@@ -225,8 +257,8 @@ func TestLoadCSVTypedCodesInRowOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	// "5" = 0 and "y" = 1 from row 1, "x" = 2 from row 2.
-	if want := [][]Value{{0, 1}, {2, 0}}; !reflect.DeepEqual(r.Rows(), want) {
-		t.Fatalf("codes %v, want %v", r.Rows(), want)
+	if want := [][]Value{{0, 1}, {2, 0}}; !reflect.DeepEqual(rowsOf(r), want) {
+		t.Fatalf("codes %v, want %v", rowsOf(r), want)
 	}
 }
 
@@ -253,21 +285,21 @@ func TestAddTypedAndReencode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.AddTyped(1.0, "alice", 0.5); err != nil {
+	if err := addLogical(r, 1.0, "alice", 0.5); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.AddTyped(2.0, "bob", 0.25); err != nil {
+	if err := addLogical(r, 2.0, "bob", 0.25); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.AddTyped(1.0, 7, "oops"); err == nil {
-		t.Fatal("AddTyped accepted values of the wrong logical types")
+	if err := addLogical(r, 1.0, 7, "oops"); err == nil {
+		t.Fatal("Encode accepted values of the wrong logical types")
 	}
-	if _, err := r.AddTyped(1.0, "nan", math.NaN()); err == nil {
-		t.Fatal("AddTyped accepted a NaN float value (could never join itself)")
+	if err := addLogical(r, 1.0, "nan", math.NaN()); err == nil {
+		t.Fatal("Encode accepted a NaN float value (could never join itself)")
 	}
 	// Integer literals widen into float columns like CSV ingest does.
-	if _, err := r.AddTyped(1.0, "widen", int64(3)); err != nil {
-		t.Fatalf("AddTyped rejected int64 into a float64 column: %v", err)
+	if err := addLogical(r, 1.0, "widen", int64(3)); err != nil {
+		t.Fatalf("Encode rejected int64 into a float64 column: %v", err)
 	}
 	d2 := NewDictionary()
 	nr, err := r.Reencode(d2)
@@ -280,8 +312,8 @@ func TestAddTypedAndReencode(t *testing.T) {
 	if nr.At(0, 0) != 0 { // d2 is fresh: "alice" is its first string
 		t.Fatalf("reencoded code %v, want 0", nr.At(0, 0))
 	}
-	for i := range r.Rows() {
-		got, want := nr.DecodeRow(nr.Row(i)), r.DecodeRow(r.Row(i))
+	for i := range r.Size() {
+		got, want := decodeRow(nr, i), decodeRow(r, i)
 		for c := range got {
 			if got[c] != want[c] {
 				t.Fatalf("row %d col %d: reencoded %v != original %v", i, c, got[c], want[c])
@@ -304,31 +336,6 @@ func TestDBDictSharedAcrossClone(t *testing.T) {
 	c := db.Clone()
 	if c.Dict() != db.Dict() {
 		t.Fatal("Clone does not share the dictionary (codes would diverge across copy-on-write updates)")
-	}
-}
-
-func TestWriteCSVTypedRoundTrip(t *testing.T) {
-	dict := NewDictionary()
-	r, err := NewTyped("R", dict, []string{"who", "score"}, []Type{TypeString, TypeFloat64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.AddTyped(0.5, "alice", 1.25)
-	r.AddTyped(3, "bob", -4.5)
-	var buf bytes.Buffer
-	if err := WriteCSV(&buf, r); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadCSVTyped(&buf, NewDictionary(), "R", "who", "score")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Size() != 2 || got.Weights[0] != 0.5 {
-		t.Fatalf("round trip: %+v", got)
-	}
-	row := got.DecodeRow(got.Row(1))
-	if row[0] != "bob" || row[1] != -4.5 {
-		t.Fatalf("round-tripped row %v", row)
 	}
 }
 

@@ -328,8 +328,8 @@ func TypedTwin(t testing.TB, q *query.CQ, db *relation.DB) (typedDB, twinDB *rel
 			continue // self-join atom: already rendered
 		}
 		var buf bytes.Buffer
-		for i, row := range src.Rows() {
-			for c, v := range row {
+		for i := range src.Size() {
+			for c, v := range src.Row(i) {
 				switch vtype[a.Vars[c]] {
 				case relation.TypeString:
 					fmt.Fprintf(&buf, "n%03d,", v)
@@ -351,8 +351,8 @@ func TypedTwin(t testing.TB, q *query.CQ, db *relation.DB) (typedDB, twinDB *rel
 			}
 		}
 		twin := relation.New(a.Rel, src.Attrs...)
-		for i, row := range typed.Rows() {
-			twin.Add(typed.Weights[i], row...)
+		for i := range typed.Size() {
+			twin.Add(typed.Weights[i], typed.Row(i)...)
 		}
 		typedDB.AddRelation(typed)
 		twinDB.AddRelation(twin)

@@ -54,21 +54,21 @@ func TestTypedTwinDecodesToLogicalDomain(t *testing.T) {
 		if typed.Size() != twin.Size() {
 			t.Fatalf("%s: typed %d rows, twin %d", a.Rel, typed.Size(), twin.Size())
 		}
-		for i := range typed.Rows() {
-			logical := typed.DecodeRow(typed.Row(i))
-			for c := range logical {
+		for i := range typed.Size() {
+			for c := range typed.Arity() {
+				lv := typed.Dict.Decode(typed.ColType(c), typed.At(i, c))
 				switch vtype[a.Vars[c]] {
 				case relation.TypeString:
-					if _, ok := logical[c].(string); !ok {
-						t.Fatalf("%s row %d col %d: decoded %T, want string", a.Rel, i, c, logical[c])
+					if _, ok := lv.(string); !ok {
+						t.Fatalf("%s row %d col %d: decoded %T, want string", a.Rel, i, c, lv)
 					}
 				case relation.TypeFloat64:
-					if _, ok := logical[c].(float64); !ok {
-						t.Fatalf("%s row %d col %d: decoded %T, want float64", a.Rel, i, c, logical[c])
+					if _, ok := lv.(float64); !ok {
+						t.Fatalf("%s row %d col %d: decoded %T, want float64", a.Rel, i, c, lv)
 					}
 				default:
-					if logical[c] != db.Relation(a.Rel).At(i, c) {
-						t.Fatalf("%s row %d col %d: int column changed value: %v", a.Rel, i, c, logical[c])
+					if lv != db.Relation(a.Rel).At(i, c) {
+						t.Fatalf("%s row %d col %d: int column changed value: %v", a.Rel, i, c, lv)
 					}
 				}
 			}
