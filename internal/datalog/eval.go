@@ -271,7 +271,7 @@ func evalLowered(db *relation.DB, lr *loweredRule, d dioid.Dioid[float64]) (rows
 	}
 	type resolvedNeg struct {
 		nc     *negCheck
-		idx    *relation.Index
+		idx    *relation.Grouping
 		colPos []int // body-row position per column; -1 marks a constant
 	}
 	negs := make([]resolvedNeg, 0, len(lr.neg))
@@ -312,7 +312,7 @@ func evalLowered(db *relation.DB, lr *loweredRule, d dioid.Dioid[float64]) (rows
 					key = append(key, r.Vals[p])
 				}
 			}
-			if _, hit := rn.idx.Lookup[relation.MakeKey(key)]; hit {
+			if rn.idx.Find(key...) >= 0 {
 				drop = true
 				break
 			}

@@ -11,7 +11,6 @@ package decomp
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"anyk/internal/dioid"
 	"anyk/internal/dpgraph"
@@ -111,7 +110,7 @@ type cycleRel struct {
 	weights []float64
 	ids     []int
 	isHeavy []bool
-	byC0    *index
+	byC0    *relation.Grouping
 }
 
 func (cr *cycleRel) size() int { return len(cr.weights) }
@@ -167,18 +166,15 @@ func orient(r *relation.Relation, a query.Atom, firstVar string) (*cycleRel, err
 	if a.Vars[0] != firstVar {
 		c0, c1 = c1, c0
 	}
-	cr := &cycleRel{c0: r.Col(c0), c1: r.Col(c1), weights: r.Weights}
 	// Qualifying row ids, ascending (nil = every row).
 	ids := r.FilterScan(preds)
-	if ids == nil {
-		return cr, nil
-	}
-	n := len(ids)
-	flat := make([]relation.Value, 2*n)
-	col0, col1, weights := cr.c0, cr.c1, cr.weights
-	cr.c0, cr.c1, cr.weights, cr.ids = flat[:n:n], flat[n:], make([]float64, n), ids
-	for i, s := range ids {
-		cr.c0[i], cr.c1[i], cr.weights[i] = col0[s], col1[s], weights[s]
+	cols := r.Gather([]int{c0, c1}, ids)
+	cr := &cycleRel{c0: cols[0], c1: cols[1], weights: r.Weights, ids: ids}
+	if ids != nil {
+		cr.weights = make([]float64, len(ids))
+		for i, s := range ids {
+			cr.weights[i] = r.Weights[s]
+		}
 	}
 	return cr, nil
 }
@@ -188,10 +184,10 @@ func orient(r *relation.Relation, a query.Atom, firstVar string) (*cycleRel, err
 // n^(2/ℓ) times in column Ri.Ai"): a window of byC0 is all heavy or all
 // light.
 func markHeavy(cr *cycleRel, threshold float64) {
-	cr.byC0 = newIndex(cr.size(), nil, cr.c0)
+	cr.byC0 = relation.NewGrouping(cr.size(), nil, cr.c0)
 	cr.isHeavy = make([]bool, cr.size())
-	for g := range cr.byC0.groups() {
-		rows := cr.byC0.window(int32(g))
+	for g := range int32(cr.byC0.Len()) {
+		rows := cr.byC0.Window(g)
 		if float64(len(rows)) >= threshold {
 			for _, r := range rows {
 				cr.isHeavy[r] = true
@@ -211,13 +207,13 @@ func use(cr *cycleRel, r int, p part) bool {
 	return true
 }
 
-// find returns the window of x (an index over every row of cr whose key
+// find returns the window of x (a grouping of every row of cr whose key
 // starts with c0) for key, or -1 when there is none or its rows lie outside
 // slice p. Heaviness belongs to the c0 value, so a window lies wholly inside
 // a slice or wholly outside it.
-func (cr *cycleRel) find(x *index, p part, key ...relation.Value) int32 {
-	g := x.find(key...)
-	if g >= 0 && !use(cr, int(x.window(g)[0]), p) {
+func (cr *cycleRel) find(x *relation.Grouping, p part, key ...relation.Value) int32 {
+	g := x.Find(key...)
+	if g >= 0 && !use(cr, int(x.Window(g)[0]), p) {
 		return -1
 	}
 	return g
@@ -228,8 +224,8 @@ func (cr *cycleRel) find(x *index, p part, key ...relation.Value) int32 {
 // across compiles so that equal-weight results keep a stable tie order.
 func (cr *cycleRel) heavyVals() []relation.Value {
 	var vals []relation.Value
-	for g := range cr.byC0.groups() {
-		if r := cr.byC0.window(int32(g))[0]; cr.isHeavy[r] {
+	for g := range int32(cr.byC0.Len()) {
+		if r := cr.byC0.Window(g)[0]; cr.isHeavy[r] {
 			vals = append(vals, cr.c0[r])
 		}
 	}
@@ -267,15 +263,15 @@ func heavyTree[W any](d dioid.Dioid[W], rels []*cycleRel, shape *CycleShape, i i
 		// Degenerate: one bag joining all three relations.
 		r1, r2 := rels[at(1)], rels[at(2)]
 		p1, p2 := partOf(i, at(1)), partOf(i, at(2))
-		idx2 := newIndex(r2.size(), nil, r2.c0, r2.c1)
+		idx2 := relation.NewGrouping(r2.size(), nil, r2.c0, r2.c1)
 		b := newBag[W]("B0", []string{v(0), v(1), v(2)}, -1, cri.size())
 		tr.Inputs = []dpgraph.StageInput[W]{b.run(func() {
 			for r0 := range int32(cri.size()) {
 				if !cri.isHeavy[r0] {
 					continue
 				}
-				for _, a := range r1.byC0.window(b.probe(func() int32 { return r1.find(r1.byC0, p1, cri.c1[r0]) })) {
-					rows := idx2.window(b.probe(func() int32 { return r2.find(idx2, p2, r1.c1[a], cri.c0[r0]) }))
+				for _, a := range r1.byC0.Window(b.probe(func() int32 { return r1.find(r1.byC0, p1, cri.c1[r0]) })) {
+					rows := idx2.Window(b.probe(func() int32 { return r2.find(idx2, p2, r1.c1[a], cri.c0[r0]) }))
 					if !b.fill(len(rows)) {
 						continue
 					}
@@ -304,7 +300,7 @@ func heavyTree[W any](d dioid.Dioid[W], rels []*cycleRel, shape *CycleShape, i i
 					if !use(r1, int(a), p1) {
 						continue
 					}
-					rows := idx0.window(b.probe(func() int32 { return idx0.find(r1.c0[a]) }))
+					rows := idx0.Window(b.probe(func() int32 { return idx0.Find(r1.c0[a]) }))
 					if !b.fill(len(rows)) {
 						continue
 					}
@@ -325,7 +321,7 @@ func heavyTree[W any](d dioid.Dioid[W], rels []*cycleRel, shape *CycleShape, i i
 					if !use(rm, int(a), pm) {
 						continue
 					}
-					rows := idxLast.window(b.probe(func() int32 { return idxLast.find(rm.c1[a]) }))
+					rows := idxLast.Window(b.probe(func() int32 { return idxLast.Find(rm.c1[a]) }))
 					if !b.fill(len(rows)) {
 						continue
 					}
@@ -357,7 +353,7 @@ func heavyTree[W any](d dioid.Dioid[W], rels []*cycleRel, shape *CycleShape, i i
 // value of hr (a heavy value of the tree's x_i) under key[r], ordered by the
 // rank of val[r] among hr's heavy values and then by row. That is the order
 // in which a probe pairing key[r] with every heavy value in turn meets them.
-func heavyIndex(cr *cycleRel, p part, val, key []relation.Value, hr *cycleRel) *index {
+func heavyIndex(cr *cycleRel, p part, val, key []relation.Value, hr *cycleRel) *relation.Grouping {
 	rank := make([]int32, cr.size())
 	for r := range rank {
 		rank[r] = -1
@@ -365,8 +361,8 @@ func heavyIndex(cr *cycleRel, p part, val, key []relation.Value, hr *cycleRel) *
 			rank[r] = hr.find(hr.byC0, heavy, val[r])
 		}
 	}
-	_, rows := file(rank, hr.byC0.groups(), nil)
-	return newIndex(cr.size(), rows, key)
+	_, rows := relation.CSR(rank, hr.byC0.Len(), nil)
+	return relation.NewGrouping(cr.size(), rows, key)
 }
 
 // lightTree materializes the all-light decomposition: two bags obtained by
@@ -412,7 +408,7 @@ func chainBag[W any](d dioid.Dioid[W], rels []*cycleRel, shape *CycleShape, star
 			return
 		}
 		next := rels[at(j+1)]
-		rows := next.byC0.window(b.probe(func() int32 { return next.find(next.byC0, light, vals[j+1]) }))
+		rows := next.byC0.Window(b.probe(func() int32 { return next.find(next.byC0, light, vals[j+1]) }))
 		if j+2 == count && !b.fill(len(rows)) {
 			return
 		}
@@ -494,80 +490,4 @@ func (b *bag[W]) put(w W, vals ...relation.Value) {
 	}
 	b.in.Weights[b.n] = w
 	b.n++
-}
-
-// index files rows of a cycle relation under a key through a
-// dpgraph.KeyTable: window g lists the rows whose key the table numbered g,
-// in the order they were filed (a CSR of starts and members).
-type index struct {
-	kt      dpgraph.KeyTable
-	starts  []int32
-	members []int32
-	probes  [][]relation.Value // one-row key columns for find
-}
-
-// newIndex files the listed rows (every row ascending when rows is nil)
-// under their key: their values in the n-row key columns.
-func newIndex(n int, rows []int32, keys ...[]relation.Value) *index {
-	x := &index{probes: make([][]relation.Value, len(keys))}
-	probe := make([]relation.Value, len(keys))
-	for c := range keys {
-		x.probes[c] = probe[c : c+1 : c+1]
-	}
-	gid, ngroups := x.kt.Group(keys, n)
-	x.starts, x.members = file(gid, ngroups, rows)
-	return x
-}
-
-func (x *index) groups() int { return len(x.starts) - 1 }
-
-// find returns the window of the key (one value per key column), or -1.
-func (x *index) find(key ...relation.Value) int32 {
-	for c, v := range key {
-		x.probes[c][0] = v
-	}
-	return x.kt.Lookup(x.probes, 0)
-}
-
-// window returns the rows of window g (none for -1).
-func (x *index) window(g int32) []int32 {
-	if g < 0 {
-		return nil
-	}
-	return x.members[x.starts[g]:x.starts[g+1]]
-}
-
-// file counting-sorts rows by group: members[starts[g]:starts[g+1]] lists,
-// in the order of rows (every row ascending when rows is nil), the rows r
-// with gid[r] == g; rows in group -1 are left out.
-func file(gid []int32, ngroups int, rows []int32) (starts, members []int32) {
-	each := func(f func(r int32)) {
-		if rows == nil {
-			for r := range int32(len(gid)) {
-				f(r)
-			}
-			return
-		}
-		for _, r := range rows {
-			f(r)
-		}
-	}
-	starts = make([]int32, ngroups+1)
-	each(func(r int32) {
-		if g := gid[r]; g >= 0 {
-			starts[g+1]++
-		}
-	})
-	for g := range ngroups {
-		starts[g+1] += starts[g]
-	}
-	members = make([]int32, starts[ngroups])
-	next := slices.Clone(starts[:ngroups])
-	each(func(r int32) {
-		if g := gid[r]; g >= 0 {
-			members[next[g]] = r
-			next[g]++
-		}
-	})
-	return starts, members
 }

@@ -273,7 +273,7 @@ func TestHeavyLightThreshold(t *testing.T) {
 	}
 	// The degree count is byC0's window: value 0's window holds its n/2
 	// rows in ascending order, and heavyVals lists value 0 alone.
-	rows := cr.byC0.window(cr.byC0.find(0))
+	rows := cr.byC0.Window(cr.byC0.Find(0))
 	if len(rows) != n/2 || !slices.IsSorted(rows) {
 		t.Fatalf("window of value 0 = %v, want %d ascending rows", rows, n/2)
 	}

@@ -10,7 +10,7 @@
 // parent→child-group links — and all of a stage's choice sets live in one
 // CSR pair that Group.Members/Group.Costs slice into. Build allocates a
 // fixed number of arrays per stage whatever the row count, grouping join keys
-// without boxing them (keys.go), and BottomUp a fixed number per stage and
+// without boxing them (relation.KeyTable), and BottomUp a fixed number per stage and
 // child. After BottomUp the graph is immutable, so any number of enumerators (package
 // core keeps all of its state outside the graph) may read it concurrently,
 // directly or through the views Shards carves for parallel enumeration.
@@ -19,7 +19,6 @@ package dpgraph
 import (
 	"fmt"
 	"math"
-	"slices"
 	"unsafe"
 
 	"anyk/internal/dioid"
@@ -206,11 +205,14 @@ func Build[W any](d dioid.Dioid[W], inputs []StageInput[W], outVars []string) (*
 	}
 	// Group every stage by its join key and point the parent's states at
 	// the groups while the stage's key table is still at hand.
-	var kt KeyTable
+	var kt relation.KeyTable
 	for _, st := range g.Stages[1:] {
 		parent := g.Stages[st.Parent]
 		st.buildGroups(kt.Group(pick(st.Cols, st.JoinCols), st.N))
-		kt.link(pick(parent.Cols, st.ParentJoinCols), parent.N, parent.Links, len(parent.ChildStages), st.Branch)
+		pcols, stride := pick(parent.Cols, st.ParentJoinCols), len(parent.ChildStages)
+		for s := range parent.N {
+			parent.Links[s*stride+st.Branch] = kt.Lookup(pcols, s)
+		}
 	}
 	if err := g.buildOutput(outVars); err != nil {
 		return nil, err
@@ -263,25 +265,15 @@ func inputCols[W any](i int, in StageInput[W]) ([][]Value, error) {
 	return cols, nil
 }
 
-// buildGroups lays the stage's choice sets out as one CSR: a counting sort
-// of the states by group id, which keeps every group's members in row order.
+// buildGroups lays the stage's choice sets out as one CSR (relation.CSR),
+// which keeps every group's members in row order.
 func (st *Stage[W]) buildGroups(gid []int32, ngroups int) {
-	st.Groups = make([]Group[W], ngroups)
-	st.members = make([]int32, st.N)
+	st.starts, st.members = relation.CSR(gid, ngroups, nil)
 	st.costs = make([]W, st.N)
-	st.starts = make([]int32, ngroups+1)
-	for _, g := range gid {
-		st.starts[g+1]++
-	}
-	for g := 0; g < ngroups; g++ {
-		lo, hi := st.starts[g], st.starts[g]+st.starts[g+1]
-		st.starts[g+1] = hi
+	st.Groups = make([]Group[W], ngroups)
+	for g := range st.Groups {
+		lo, hi := st.starts[g], st.starts[g+1]
 		st.Groups[g] = Group[W]{Members: st.members[lo:hi:hi], Costs: st.costs[lo:hi:hi], MinIdx: -1}
-	}
-	next := slices.Clone(st.starts[:ngroups])
-	for s, g := range gid {
-		st.members[next[g]] = int32(s)
-		next[g]++
 	}
 }
 

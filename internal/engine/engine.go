@@ -18,6 +18,7 @@ package engine
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -422,20 +423,21 @@ func compileAcyclic[W any](db *relation.DB, q *query.CQ, d dioid.Dioid[W], sem S
 
 // stageInputs lowers the plan's nodes to columnar stage inputs, all the same
 // way: choose the relation rows the stage is built from, take each bound
-// column at those rows, and lift the weights. A stage of every row borrows
-// the relation's column blocks, and its weights too when Lift is the
-// identity on float64 (liftsIdentically), as windows [:n:n]: relations only
-// append past Size() and never change a row below it in place, so the window
-// is a snapshot no later SetAt or Add reaches. Every other stage gathers
-// blocks of its own. Full nodes take every row, or the ascending ids a
-// filtered scan yields, with the row's lifted weight (stage index = atom
-// index, so lexicographic and tie-break dioids see the query's atom order,
-// and Lift row ids are those of a pre-materialized filtered copy). Projected
-// connex nodes and — under MinWeight — pure connex nodes take one row per
-// group of the relation's cached (predicate-aware) hash index: the former
-// with weight 1̄ (their real weights arrive from the pruned originals below,
-// Thm 20), the latter Plus-folding the group's weights in row order — the
-// fold order a filtered scan produces, so tie-breaking dioids agree.
+// column at those rows (Relation.Gather), and lift the weights. A stage of
+// every row borrows the relation's column blocks, and its weights too when
+// Lift is the identity on float64 (liftsIdentically), as windows [:n:n]:
+// relations only append past Size() and never change a row below it in
+// place, so the window is a snapshot no later SetAt or Add reaches. Every
+// other stage gathers blocks of its own. Full nodes take every row, or the
+// ascending ids a filtered scan yields, with the row's lifted weight (stage
+// index = atom index, so lexicographic and tie-break dioids see the query's
+// atom order, and Lift row ids are those of a pre-materialized filtered
+// copy). Projected connex nodes and — under MinWeight — pure connex nodes
+// take the first row of each window of the relation's cached
+// (predicate-aware) grouping, FilteredGroupIndex: the former with weight 1̄
+// (their real weights arrive from the pruned originals below, Thm 20), the
+// latter Plus-folding the window's weights in row order — the fold order a
+// filtered scan produces, so tie-breaking dioids agree.
 func stageInputs[W any](db *relation.DB, plan *query.Plan, d dioid.Dioid[W], minWeightQuery bool) ([]dpgraph.StageInput[W], error) {
 	order := plan.Order
 	posOf := make([]int, len(plan.Nodes))
@@ -473,35 +475,22 @@ func stageInputs[W any](db *relation.DB, plan *query.Plan, d dioid.Dioid[W], min
 			cols[i] = c
 		}
 		projected := len(node.Vars) < len(atom.Vars)
-		var ids []int      // source row per stage row; nil = every row, in order
-		var groups [][]int // the rows each stage row stands for, when it is a group
-		n := rel.Size()
+		var ids []int                 // source row per stage row; nil = every row, in order
+		var groups *relation.Grouping // the rows each stage row stands for, when it is a window
 		switch {
 		case projected || (minWeightQuery && !node.Prune):
-			groups = rel.FilteredGroupIndex(cols, preds).Groups
-			ids = make([]int, len(groups))
-			for g, members := range groups {
-				ids[g] = members[0]
+			groups = rel.FilteredGroupIndex(cols, preds)
+			ids = make([]int, groups.Len())
+			for g := range ids {
+				ids[g] = int(groups.Window(int32(g))[0])
 			}
-			n = len(ids)
 		case len(preds) > 0:
 			ids = rel.FilterScan(preds)
-			n = len(ids)
 		}
-		blocks := make([][]relation.Value, len(cols))
-		if ids == nil {
-			for i, c := range cols {
-				blocks[i] = rel.Col(c)[:n:n]
-			}
-		} else {
-			flat := make([]relation.Value, n*len(cols))
-			for i, c := range cols {
-				blocks[i] = flat[i*n : (i+1)*n : (i+1)*n]
-				src := rel.Col(c)
-				for k, r := range ids {
-					blocks[i][k] = src[r]
-				}
-			}
+		blocks := rel.Gather(cols, ids)
+		n := rel.Size()
+		if ids != nil {
+			n = len(ids)
 		}
 		var weights []W
 		if ws, ok := any(&rel.Weights).(*[]W); ok && ids == nil && liftsIdentically(d) {
@@ -514,9 +503,10 @@ func stageInputs[W any](db *relation.DB, plan *query.Plan, d dioid.Dioid[W], min
 				case projected:
 					weights[k] = d.One()
 				case groups != nil:
-					w := lift(groups[k][0])
-					for _, r := range groups[k][1:] {
-						w = d.Plus(w, lift(r))
+					rows := groups.Window(int32(k))
+					w := lift(int(rows[0]))
+					for _, r := range rows[1:] {
+						w = d.Plus(w, lift(int(r)))
 					}
 					weights[k] = w
 				case ids != nil:
@@ -527,7 +517,7 @@ func stageInputs[W any](db *relation.DB, plan *query.Plan, d dioid.Dioid[W], min
 			}
 		}
 		inputs[pos] = dpgraph.StageInput[W]{
-			Name:    fmt.Sprintf("%s[%s]", atom.Rel, varList(node.Vars)),
+			Name:    fmt.Sprintf("%s[%s]", atom.Rel, strings.Join(node.Vars, ",")),
 			Vars:    node.Vars,
 			Cols:    blocks,
 			Weights: weights,
@@ -546,17 +536,6 @@ func liftsIdentically[W any](d dioid.Dioid[W]) bool {
 		return true
 	}
 	return false
-}
-
-func varList(vs []string) string {
-	s := ""
-	for i, v := range vs {
-		if i > 0 {
-			s += ","
-		}
-		s += v
-	}
-	return s
 }
 
 type emptyIter[W any] struct{}

@@ -2,6 +2,7 @@ package hypertree
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -49,7 +50,7 @@ func materializeBag[W any](d dioid.Dioid[W], db *relation.DB, q *query.CQ, bagId
 	}
 	atomIdx := append([]int(nil), bag.Cover...)
 	for _, ai := range bag.Assigned {
-		if !containsInt(atomIdx, ai) {
+		if !slices.Contains(atomIdx, ai) {
 			atomIdx = append(atomIdx, ai)
 		}
 	}
@@ -174,39 +175,30 @@ func sortStage[W any](d dioid.Dioid[W], in *dpgraph.StageInput[W]) {
 	in.Rows, in.Weights = rows, weights
 }
 
-func containsInt(xs []int, x int) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
-}
-
 // distinctRelation copies the rows of r satisfying preds, keeping each
 // distinct row once with weight 0: the set-semantics shape verification-only
-// atoms take inside a bag join.
+// atoms take inside a bag join. The first row of each window of a transient
+// grouping by every column is that row's first occurrence.
 func distinctRelation(name string, r *relation.Relation, preds []relation.ScanPred) *relation.Relation {
 	out := relation.New(name, r.Attrs...)
+	cols := make([]int, r.Arity())
+	for c := range cols {
+		cols[c] = c
+	}
 	ids := r.FilterScan(preds)
 	n := r.Size()
 	if ids != nil {
 		n = len(ids)
 	}
-	seen := make(map[relation.Key]bool, n)
-	buf := make([]relation.Value, r.Arity())
-	for i := 0; i < n; i++ {
-		s := i
-		if ids != nil {
-			s = ids[i]
+	blocks := r.Gather(cols, ids)
+	x := relation.NewGrouping(n, nil, blocks...)
+	row := make([]relation.Value, len(cols))
+	for g := range int32(x.Len()) {
+		first := x.Window(g)[0]
+		for c, block := range blocks {
+			row[c] = block[first]
 		}
-		buf = r.AppendRow(buf[:0], s)
-		k := relation.MakeKey(buf)
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		out.Add(0, buf...) // TryAdd copies into column blocks, so buf is reusable
+		out.Add(0, row...)
 	}
 	return out
 }

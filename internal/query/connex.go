@@ -197,7 +197,6 @@ func ConnexPlan(q *CQ) (*Plan, error) {
 		// fully disconnected existential components, which act as global
 		// filters with empty join keys).
 		attach := uRoot
-		rootMember := rootOf(cParent)
 		if a := anchors[c]; a != -1 {
 			attach = uOf[a]
 			// Reroot the component tree at the anchor so the anchor's full
@@ -208,7 +207,7 @@ func ConnexPlan(q *CQ) (*Plan, error) {
 					local = i
 				}
 			}
-			sub := &JoinTree{Parent: cParent, Root: rootMember}
+			sub := &JoinTree{Parent: cParent, Root: rootOf(cParent)}
 			subQ := &CQ{Atoms: make([]Atom, len(members))}
 			for i, m := range members {
 				subQ.Atoms[i] = q.Atoms[m]
@@ -216,7 +215,6 @@ func ConnexPlan(q *CQ) (*Plan, error) {
 			sub.Q = subQ
 			sub = sub.Reroot(local)
 			cParent = sub.Parent
-			rootMember = local
 		}
 		base := len(nodes)
 		for i, m := range members {
@@ -227,7 +225,6 @@ func ConnexPlan(q *CQ) (*Plan, error) {
 			}
 			nodes = append(nodes, PlanNode{Atom: m, Vars: q.Atoms[m].Vars, Parent: pn, Prune: true})
 		}
-		_ = rootMember
 	}
 	plan := &Plan{Q: q, Nodes: nodes}
 	parent := make([]int, len(nodes))

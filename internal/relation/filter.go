@@ -3,11 +3,11 @@ package relation
 // Filtered access paths: selection predicates pushed down to the scan. A
 // ScanPred is a *compiled* predicate — column positions plus physical
 // comparison codes, produced by query.Atom.ScanPreds against this relation's
-// schema and dictionary — and the methods here answer it without copying any
-// rows: FilterScan yields the qualifying row ids, FilteredGroupIndex builds a
-// hash index over only those ids, and SortedPerm memoizes a per-column sort
-// permutation so inequality predicates become binary-searched ranges instead
-// of full scans.
+// schema and dictionary — and the methods here answer it without copying
+// whole rows: FilterScan yields the qualifying row ids, FilteredGroupIndex
+// groups only those ids by their key columns, and SortedPerm memoizes a
+// per-column sort permutation so inequality predicates become binary-searched
+// ranges instead of full scans.
 //
 // Every memoized filtered structure keys on the canonical predicate
 // signature PredSig, which embeds the marker "flt|"; IndexEntries classifies
@@ -275,58 +275,31 @@ func (r *Relation) permRange(perm []int, p *ScanPred) (lo, hi int) {
 	return 0, n
 }
 
-// FilteredGroupIndex returns the hash index of r over cols restricted to the
-// rows satisfying preds, memoized under the canonical predicate key so warm
-// sessions keep their cache advantage. Group ids are original row ids (no
-// renumbering), in ascending row order within each group. With no predicates
-// it is exactly GroupIndex.
-func (r *Relation) FilteredGroupIndex(cols []int, preds []ScanPred) *Index {
-	if len(preds) == 0 {
-		return r.GroupIndex(cols)
+// FilteredGroupIndex returns the grouping of the rows of r satisfying preds
+// by their values in cols, memoized under the canonical predicate key so warm
+// sessions keep their cache advantage: windows in order of first appearance
+// among the qualifying rows, none of them empty, each listing original row
+// ids ascending, and Find resolving a key over those rows only. With no
+// predicates it is GroupIndex.
+func (r *Relation) FilteredGroupIndex(cols []int, preds []ScanPred) *Grouping {
+	prefix := "groupidx"
+	if len(preds) > 0 {
+		prefix += ":" + PredSig(preds)
 	}
-	return r.Memo(colsSig("groupidx:"+PredSig(preds), cols), func() any {
-		keys, groups, lookup := groupByIDs(r, cols, r.FilterScan(preds))
-		return &Index{Keys: keys, Groups: groups, Lookup: lookup}
-	}).(*Index)
-}
-
-// groupByIDs is GroupBy restricted to the given row ids.
-func groupByIDs(r *Relation, cols []int, ids []int) (keys []Key, groups [][]int, index map[Key]int) {
-	index = make(map[Key]int, len(ids))
-	if len(cols) == 1 {
-		col := r.cols[cols[0]]
-		for _, i := range ids {
-			k := Key1(col[i])
-			g, ok := index[k]
-			if !ok {
-				g = len(groups)
-				index[k] = g
-				keys = append(keys, k)
-				groups = append(groups, nil)
+	return r.Memo(colsSig(prefix, cols), func() any {
+		ids := r.FilterScan(preds)
+		n := r.Size()
+		if ids != nil {
+			n = len(ids)
+		}
+		x := NewGrouping(n, nil, r.Gather(cols, ids)...)
+		if ids != nil {
+			for k, m := range x.members {
+				x.members[k] = int32(ids[m])
 			}
-			groups[g] = append(groups[g], i)
 		}
-		return keys, groups, index
-	}
-	byEnc := make(map[string]int, len(ids))
-	scratch := make([]byte, 0, len(cols)*8)
-	for _, i := range ids {
-		scratch = scratch[:0]
-		for _, c := range cols {
-			scratch = AppendKeyBytes(scratch, r.cols[c][i])
-		}
-		g, ok := byEnc[string(scratch)] // zero-alloc lookup
-		if !ok {
-			k := keyFromBytes(scratch, len(cols))
-			g = len(groups)
-			byEnc[k.multi] = g
-			index[k] = g
-			keys = append(keys, k)
-			groups = append(groups, nil)
-		}
-		groups[g] = append(groups[g], i)
-	}
-	return keys, groups, index
+		return x
+	}).(*Grouping)
 }
 
 // IndexEntries counts the relation's live memoized derived structures: total

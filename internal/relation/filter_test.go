@@ -3,6 +3,7 @@ package relation
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -124,20 +125,21 @@ func TestSortedPerm(t *testing.T) {
 }
 
 // TestFilteredGroupIndex pins the filtered index against a group-by over the
-// naive scan: original row ids, first-seen-in-row-order groups.
+// naive scan: original row ids, first-seen-in-row-order windows.
 func TestFilteredGroupIndex(t *testing.T) {
 	rel := filterTestRel(t, 300)
 	preds := []ScanPred{{Col: 0, Op: CmpLt, Code: 30}}
 	for _, cols := range [][]int{{1}, {0, 1}} {
 		idx := rel.FilteredGroupIndex(cols, preds)
-		seen := map[int]bool{}
-		for g, rows := range idx.Groups {
-			if !sort.IntsAreSorted(rows) {
-				t.Fatalf("group %d rows not ascending", g)
+		seen := map[int32]bool{}
+		for g := range int32(idx.Len()) {
+			rows := idx.Window(g)
+			if len(rows) == 0 || !slices.IsSorted(rows) {
+				t.Fatalf("window %d rows empty or not ascending: %v", g, rows)
 			}
 			for _, i := range rows {
-				if !rel.MatchRow(i, preds) {
-					t.Fatalf("group %d contains non-matching row %d", g, i)
+				if !rel.MatchRow(int(i), preds) {
+					t.Fatalf("window %d contains non-matching row %d", g, i)
 				}
 				seen[i] = true
 			}
@@ -146,6 +148,7 @@ func TestFilteredGroupIndex(t *testing.T) {
 		if len(seen) != len(want) {
 			t.Fatalf("index over cols %v covers %d rows, want %d", cols, len(seen), len(want))
 		}
+		sameGrouping(t, rel, cols, want, idx)
 		if idx2 := rel.FilteredGroupIndex(cols, preds); idx2 != idx {
 			t.Error("FilteredGroupIndex missed the memo")
 		}

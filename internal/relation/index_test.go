@@ -5,31 +5,16 @@ import (
 	"testing"
 )
 
+// TestGroupIndexMatchesGroupBy pins a small grouping against refGroupBy,
+// the map-based group-by it replaced.
 func TestGroupIndexMatchesGroupBy(t *testing.T) {
 	r := New("R", "a", "b")
 	r.Add(1, 1, 10)
 	r.Add(2, 1, 20)
 	r.Add(3, 2, 10)
 	r.Add(4, 1, 10)
-	idx := r.GroupIndex([]int{0})
-	keys, groups, lookup := GroupBy(r, []int{0})
-	if len(idx.Groups) != len(groups) || len(idx.Keys) != len(keys) {
-		t.Fatalf("index shape %d/%d, GroupBy %d/%d", len(idx.Groups), len(idx.Keys), len(groups), len(keys))
-	}
-	for g := range groups {
-		if len(idx.Groups[g]) != len(groups[g]) {
-			t.Fatalf("group %d: %v vs %v", g, idx.Groups[g], groups[g])
-		}
-		for i := range groups[g] {
-			if idx.Groups[g][i] != groups[g][i] {
-				t.Fatalf("group %d member %d: %d vs %d", g, i, idx.Groups[g][i], groups[g][i])
-			}
-		}
-	}
-	for k, g := range lookup {
-		if idx.Lookup[k] != g {
-			t.Fatalf("lookup mismatch for %v", k)
-		}
+	for _, cols := range [][]int{{0}, {1}, {0, 1}, {}} {
+		sameGrouping(t, r, cols, nil, r.GroupIndex(cols))
 	}
 }
 
@@ -54,8 +39,8 @@ func TestGroupIndexCachedAndInvalidated(t *testing.T) {
 	if idx2 == idx1 {
 		t.Fatal("GroupIndex not invalidated by Add")
 	}
-	if len(idx2.Groups[0]) != 2 {
-		t.Fatalf("rebuilt index missing the new row: %+v", idx2.Groups)
+	if w := idx2.Window(0); len(w) != 2 || w[1] != 2 {
+		t.Fatalf("rebuilt index missing the new row: window 0 = %v", w)
 	}
 }
 
@@ -65,7 +50,7 @@ func TestMemoConcurrentReaders(t *testing.T) {
 		r.Add(1, int64(i%7))
 	}
 	var wg sync.WaitGroup
-	got := make([]*Index, 8)
+	got := make([]*Grouping, 8)
 	for i := range got {
 		wg.Add(1)
 		go func(i int) {
@@ -77,6 +62,21 @@ func TestMemoConcurrentReaders(t *testing.T) {
 	for i := 1; i < len(got); i++ {
 		if got[i] != got[0] {
 			t.Fatal("concurrent readers built distinct indexes")
+		}
+	}
+	// Value v's window holds rows v, v+7, ... ascending.
+	if got[0].Len() != 7 {
+		t.Fatalf("%d windows, want 7", got[0].Len())
+	}
+	for g := range int32(7) {
+		w := got[0].Window(g)
+		if len(w) != (100-int(g)+6)/7 {
+			t.Fatalf("window %d has %d rows", g, len(w))
+		}
+		for k, row := range w {
+			if row != g+int32(7*k) {
+				t.Fatalf("window %d = %v", g, w)
+			}
 		}
 	}
 }

@@ -1,7 +1,8 @@
 // Package relation provides the relational substrate: weighted tuples over an
-// integer domain, named relations, databases, and the hash-grouping helpers
-// (built in linear time, constant-time lookup, Section 2.3) that the DP-graph
-// construction relies on.
+// integer domain, named relations, databases, and the one way rows are
+// grouped by key — KeyTable and Grouping (keys.go), built in linear time with
+// constant-time lookup (Section 2.3) — that relation indexes, the cycle
+// decomposition and the DP-graph construction share.
 package relation
 
 import (
@@ -37,11 +38,12 @@ func nextStamp() uint64 { return stampCounter.Add(1) }
 // in place. Add and TryAdd write only past the old length, and SetAt writes
 // into a fresh copy of its column, so a window col[:n:n] (or Weights[:n:n])
 // taken at Size() n is a snapshot no later mutation reaches, and readers may
-// alias the column and weight blocks instead of copying them; query lowering
-// does. A reader that only holds such a window may even run while another
-// goroutine appends.
+// alias the column and weight blocks instead of copying them: Gather hands
+// out such windows, and query lowering, the cycle decomposition and
+// GroupIndex read through them. A reader that only holds such a window may
+// even run while another goroutine appends.
 //
-// A relation lazily accretes derived read-only structures — hash indexes
+// A relation lazily accretes derived read-only structures — groupings by key
 // (GroupIndex) and arbitrary memos (Memo) — that are invalidated wholesale
 // when a row is added. Mutation is not safe concurrently with any other use
 // of the relation itself, but any number of readers (including index
@@ -320,17 +322,6 @@ func (r *Relation) Memo(key string, build func() any) any {
 	}
 }
 
-// Index is a hash index over the projection of a relation onto a column
-// subset: Groups[g] lists the ids of the rows sharing the g-th distinct
-// projection, in row order; Keys[g] is that projection's encoded key and
-// Lookup inverts it. Built in linear time with constant-time lookup
-// (Section 2.3); GroupIndex caches one per column subset.
-type Index struct {
-	Keys   []Key
-	Groups [][]int
-	Lookup map[Key]int
-}
-
 // colsSig encodes a column subset as a memo key fragment.
 func colsSig(prefix string, cols []int) string {
 	sig := prefix
@@ -340,14 +331,37 @@ func colsSig(prefix string, cols []int) string {
 	return sig
 }
 
-// GroupIndex returns the (lazily built, cached) hash index of r over cols.
-// The index is invalidated when the relation mutates; callers must treat it
-// as read-only.
-func (r *Relation) GroupIndex(cols []int) *Index {
-	return r.Memo(colsSig("groupidx", cols), func() any {
-		keys, groups, lookup := GroupBy(r, cols)
-		return &Index{Keys: keys, Groups: groups, Lookup: lookup}
-	}).(*Index)
+// GroupIndex returns the (lazily built, cached) grouping of r's rows by
+// their values in cols: windows in order of first appearance, each listing
+// its rows ascending, and Find resolving a key to its window. The grouping is
+// invalidated when the relation mutates; callers must treat it as read-only.
+func (r *Relation) GroupIndex(cols []int) *Grouping {
+	return r.FilteredGroupIndex(cols, nil)
+}
+
+// Gather returns the columns cols at the rows ids, one slice per column: for
+// nil ids (every row) windows col[:n:n] of the relation's own blocks, which
+// no later mutation reaches (see Relation), and otherwise the listed rows
+// copied, in order, into one block of their own.
+func (r *Relation) Gather(cols []int, ids []int) [][]Value {
+	blocks := make([][]Value, len(cols))
+	if ids == nil {
+		n := r.Size()
+		for i, c := range cols {
+			blocks[i] = r.cols[c][:n:n]
+		}
+		return blocks
+	}
+	n := len(ids)
+	flat := make([]Value, n*len(cols))
+	for i, c := range cols {
+		block, src := flat[i*n:(i+1)*n:(i+1)*n], r.cols[c]
+		for k, id := range ids {
+			block[k] = src[id]
+		}
+		blocks[i] = block
+	}
+	return blocks
 }
 
 // DB is a database: a set of named relations. Self-joins reference the same
@@ -474,68 +488,9 @@ func MakeKey(vals []Value) Key {
 	}
 	b := make([]byte, 0, len(vals)*8)
 	for _, v := range vals {
-		b = AppendKeyBytes(b, v)
+		u := uint64(v)
+		b = append(b, byte(u), byte(u>>8), byte(u>>16), byte(u>>24),
+			byte(u>>32), byte(u>>40), byte(u>>48), byte(u>>56))
 	}
 	return Key{multi: string(b), n: len(vals)}
-}
-
-// AppendKeyBytes appends the 8-byte key encoding of v to dst and returns it —
-// the scratch-buffer building block for multi-column keys: encode a probe
-// into a reused []byte and look it up with m[string(buf)] on a map[string]V,
-// which the compiler performs without materializing a string. Only inserting
-// a new key needs a real string allocation.
-func AppendKeyBytes(dst []byte, v Value) []byte {
-	u := uint64(v)
-	return append(dst, byte(u), byte(u>>8), byte(u>>16), byte(u>>24),
-		byte(u>>32), byte(u>>40), byte(u>>48), byte(u>>56))
-}
-
-// keyFromBytes wraps an encoded multi-column key (see AppendKeyBytes) in a
-// Key, copying b into an owned string.
-func keyFromBytes(b []byte, n int) Key {
-	return Key{multi: string(b), n: n}
-}
-
-// GroupBy partitions row indices of r by the projection onto cols, preserving
-// first-seen group order. Linear time, the "data structure built in linear
-// time supporting constant-time lookups" of Section 2.3. The group map is
-// pre-sized from the relation's cardinality, single-column keys read the
-// column block directly, and multi-column keys encode into a reused scratch
-// buffer (one string allocation per distinct group, not per row).
-func GroupBy(r *Relation, cols []int) (keys []Key, groups [][]int, index map[Key]int) {
-	n := r.Size()
-	index = make(map[Key]int, n)
-	if len(cols) == 1 {
-		for i, v := range r.cols[cols[0]] {
-			k := Key1(v)
-			g, ok := index[k]
-			if !ok {
-				g = len(groups)
-				index[k] = g
-				keys = append(keys, k)
-				groups = append(groups, nil)
-			}
-			groups[g] = append(groups[g], i)
-		}
-		return keys, groups, index
-	}
-	byEnc := make(map[string]int, n)
-	scratch := make([]byte, 0, len(cols)*8)
-	for i := 0; i < n; i++ {
-		scratch = scratch[:0]
-		for _, c := range cols {
-			scratch = AppendKeyBytes(scratch, r.cols[c][i])
-		}
-		g, ok := byEnc[string(scratch)] // zero-alloc lookup
-		if !ok {
-			k := keyFromBytes(scratch, len(cols))
-			g = len(groups)
-			byEnc[k.multi] = g
-			index[k] = g
-			keys = append(keys, k)
-			groups = append(groups, nil)
-		}
-		groups[g] = append(groups[g], i)
-	}
-	return keys, groups, index
 }

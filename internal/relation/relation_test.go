@@ -2,6 +2,7 @@ package relation
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -87,19 +88,24 @@ func TestGroupBy(t *testing.T) {
 	r.Add(0, 1, 30)
 	r.Add(0, 2, 40)
 	r.Add(0, 3, 50)
-	keys, groups, index := GroupBy(r, []int{0})
-	if len(groups) != 3 {
-		t.Fatalf("got %d groups", len(groups))
+	idx := r.GroupIndex([]int{0})
+	if idx.Len() != 3 {
+		t.Fatalf("got %d windows", idx.Len())
 	}
 	// first-seen order: 1, 2, 3
-	if g := groups[index[MakeKey([]Value{1})]]; len(g) != 2 || g[0] != 0 || g[1] != 2 {
-		t.Fatalf("group for key 1 = %v", g)
+	for g, key := range []Value{1, 2, 3} {
+		if got := idx.Find(key); got != int32(g) {
+			t.Fatalf("Find(%d) = %d, want window %d", key, got, g)
+		}
 	}
-	if g := groups[index[MakeKey([]Value{3})]]; len(g) != 1 || g[0] != 4 {
-		t.Fatalf("group for key 3 = %v", g)
+	if w := idx.Window(idx.Find(1)); len(w) != 2 || w[0] != 0 || w[1] != 2 {
+		t.Fatalf("window for key 1 = %v", w)
 	}
-	if len(keys) != len(groups) {
-		t.Fatal("keys/groups length mismatch")
+	if w := idx.Window(idx.Find(3)); len(w) != 1 || w[0] != 4 {
+		t.Fatalf("window for key 3 = %v", w)
+	}
+	if idx.Find(4) != -1 || idx.Window(-1) != nil {
+		t.Fatal("an absent key must find no window")
 	}
 }
 
@@ -109,20 +115,22 @@ func TestGroupByMultiColRandom(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		r.Add(0, int64(rnd.Intn(4)), int64(rnd.Intn(4)), int64(rnd.Intn(50)))
 	}
-	_, groups, index := GroupBy(r, []int{0, 1})
+	idx := r.GroupIndex([]int{0, 1})
 	total := 0
-	for _, g := range groups {
-		total += len(g)
-		// every member must project to the group key
-		buf := make([]Value, 2)
-		k := MakeKey(r.ProjectInto(buf, g[0], []int{0, 1}))
-		for _, row := range g {
-			if MakeKey(r.ProjectInto(buf, row, []int{0, 1})) != k {
-				t.Fatal("row in wrong group")
+	buf := make([]Value, 2)
+	for g := range int32(idx.Len()) {
+		w := idx.Window(g)
+		total += len(w)
+		// every member must project to the window's key, and Find that key
+		// must return the window
+		key := slices.Clone(r.ProjectInto(buf, int(w[0]), []int{0, 1}))
+		for _, row := range w {
+			if !slices.Equal(r.ProjectInto(buf, int(row), []int{0, 1}), key) {
+				t.Fatal("row in wrong window")
 			}
 		}
-		if index[k] < 0 || index[k] >= len(groups) {
-			t.Fatal("index out of range")
+		if got := idx.Find(key...); got != g {
+			t.Fatalf("Find(%v) = %d, want %d", key, got, g)
 		}
 	}
 	if total != 500 {
