@@ -37,8 +37,6 @@
 //     inter-result delay histograms, MEM(k) counters, and a metric registry
 //     rendered as Prometheus text exposition (GET /metrics on anykd,
 //     per-session GET /v1/queries/{id}/stats, anyk -trace)
-//   - internal/loadgen — closed- and open-loop (coordinated-omission-
-//     corrected) load drivers over the anykd API; cmd/loadgen runs them
 //   - internal/query, internal/relation, internal/dioid, internal/heapq,
 //     internal/dataset, internal/homom — substrates
 //

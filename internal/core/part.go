@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"anyk/internal/dioid"
 	"anyk/internal/dpgraph"
 	"anyk/internal/heapq"
@@ -236,7 +238,16 @@ func (e *partEnum[W]) initGroup(pg *partGroup[W], grp *dpgraph.Group[W]) {
 	byCost := func(a, b int32) bool { return e.d.Less(grp.Costs[a], grp.Costs[b]) }
 	switch e.variant {
 	case Eager:
-		sortInt32(pg.order, byCost)
+		// Stable, so a tie keeps member order.
+		slices.SortStableFunc(pg.order, func(a, b int32) int {
+			switch {
+			case byCost(a, b):
+				return -1
+			case byCost(b, a):
+				return 1
+			}
+			return 0
+		})
 		pg.costs = make([]W, n)
 		for i, p := range pg.order {
 			pg.costs[i] = grp.Costs[p]
@@ -272,34 +283,4 @@ func (e *partEnum[W]) lazyEnsure(pg *partGroup[W], grp *dpgraph.Group[W], n int)
 		pg.order = append(pg.order, p)
 		pg.costs = append(pg.costs, grp.Costs[p])
 	}
-}
-
-// sortInt32 is an insertion/quick hybrid kept dependency-free; n is a group
-// size (≤ n tuples).
-func sortInt32(a []int32, less func(x, y int32) bool) {
-	if len(a) < 24 {
-		for i := 1; i < len(a); i++ {
-			for k := i; k > 0 && less(a[k], a[k-1]); k-- {
-				a[k], a[k-1] = a[k-1], a[k]
-			}
-		}
-		return
-	}
-	pivot := a[len(a)/2]
-	lo, hi := 0, len(a)-1
-	for lo <= hi {
-		for less(a[lo], pivot) {
-			lo++
-		}
-		for less(pivot, a[hi]) {
-			hi--
-		}
-		if lo <= hi {
-			a[lo], a[hi] = a[hi], a[lo]
-			lo++
-			hi--
-		}
-	}
-	sortInt32(a[:hi+1], less)
-	sortInt32(a[lo:], less)
 }

@@ -4,13 +4,19 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"anyk/internal/obs"
 )
 
 // postJSON is doJSON with access to the raw response, for header assertions.
@@ -204,4 +210,142 @@ func TestRequestIDAssignedAndEchoed(t *testing.T) {
 	if got := resp2.Header.Get("X-Request-Id"); len(got) != 16 {
 		t.Fatalf("minted X-Request-Id = %q, want 16 hex chars", got)
 	}
+}
+
+// TestServesMixedLoadUnderAdmissionLimits runs a mixed client population
+// against both admission limits at once: 8 clients loop a session:stats:upload
+// mix of 8:1:1 for one second. A session is a create, two pages and a
+// delete; stats polls the most recent session; an upload posts an 8-row CSV
+// to a scratch dataset. Every answer must be 2xx or a 429 (or a 404 from
+// stats on a session already deleted), the load must both complete sessions
+// and draw 429s, and the server's rejection counter must match the 429s the
+// clients saw, in an exposition that still validates.
+func TestServesMixedLoadUnderAdmissionLimits(t *testing.T) {
+	s, ts := testServer(t, 16)
+	s.MaxSessions = 4
+	s.MaxInflight = 3
+	mustCreateDataset(t, ts.URL, "load")
+
+	const clients = 8
+	hc := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: clients}}
+	defer hc.CloseIdleConnections()
+
+	var rejected, completed atomic.Int64
+	var recent atomic.Value // string: the most recently created session id
+	// call issues one request and returns its status, counting 429s and
+	// flagging any status outside 2xx/429 unless tolerated.
+	call := func(method, path, contentType, body string, tolerated int, out any) int {
+		req, err := http.NewRequest(method, ts.URL+path, strings.NewReader(body))
+		if err != nil {
+			t.Error(err)
+			return 0
+		}
+		if contentType != "" {
+			req.Header.Set("Content-Type", contentType)
+		}
+		resp, err := hc.Do(req)
+		if err != nil {
+			t.Errorf("%s %s: %v", method, path, err)
+			return 0
+		}
+		defer resp.Body.Close()
+		raw, _ := io.ReadAll(resp.Body)
+		switch st := resp.StatusCode; {
+		case st == http.StatusTooManyRequests:
+			rejected.Add(1)
+		case st/100 == 2:
+			if out != nil {
+				if err := json.Unmarshal(raw, out); err != nil {
+					t.Errorf("%s %s: decode %q: %v", method, path, raw, err)
+				}
+			}
+		case st != tolerated:
+			t.Errorf("%s %s: status %d: %s", method, path, st, raw)
+		}
+		return resp.StatusCode
+	}
+
+	session := func() {
+		var q QueryResponse
+		if call(http.MethodPost, "/v1/queries", "application/json",
+			`{"dataset":"load","query":"path3"}`, 0, &q) != http.StatusCreated {
+			return
+		}
+		recent.Store(q.ID)
+		pages := 0
+		for range 2 {
+			if call(http.MethodGet, "/v1/queries/"+q.ID+"/next?k=10", "", "", 0, nil) == http.StatusOK {
+				pages++
+			}
+		}
+		// A delete turned away by the in-flight cap is retried: a session
+		// left live would hold an admission slot for its whole TTL.
+		st := http.StatusTooManyRequests
+		for st == http.StatusTooManyRequests {
+			st = call(http.MethodDelete, "/v1/queries/"+q.ID, "", "", 0, nil)
+		}
+		if pages == 2 && st == http.StatusNoContent {
+			completed.Add(1)
+		}
+	}
+	stats := func() {
+		path := "/v1/metrics"
+		if id, _ := recent.Load().(string); id != "" {
+			path = "/v1/queries/" + id + "/stats"
+		}
+		call(http.MethodGet, path, "", "", http.StatusNotFound, nil)
+	}
+	upload := func(rng *rand.Rand) {
+		var csv strings.Builder
+		for range 8 {
+			fmt.Fprintf(&csv, "%d,%d,%d\n", rng.Intn(50), rng.Intn(50), 1+rng.Intn(9))
+		}
+		call(http.MethodPost, "/v1/datasets/load-scratch/relations/S", "text/csv", csv.String(), 0, nil)
+	}
+
+	deadline := time.Now().Add(time.Second)
+	var wg sync.WaitGroup
+	for c := range clients {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(c) + 1))
+			for time.Now().Before(deadline) {
+				switch n := rng.Intn(10); {
+				case n < 8:
+					session()
+				case n == 8:
+					stats()
+				default:
+					upload(rng)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	if completed.Load() == 0 {
+		t.Error("no session completed under load")
+	}
+	if rejected.Load() == 0 {
+		t.Error("no request was turned away: the admission limits were never reached")
+	}
+	exposition := scrapeMetrics(t, ts.URL)
+	if err := obs.ValidateExposition(strings.NewReader(exposition)); err != nil {
+		t.Fatalf("exposition after load is not valid: %v", err)
+	}
+	var counted float64
+	for _, line := range strings.Split(exposition, "\n") {
+		if strings.HasPrefix(line, "anykd_admission_rejected_total{") {
+			v, err := strconv.ParseFloat(line[strings.LastIndexByte(line, ' ')+1:], 64)
+			if err != nil {
+				t.Fatalf("parsing %q: %v", line, err)
+			}
+			counted += v
+		}
+	}
+	if int64(counted) != rejected.Load() {
+		t.Errorf("anykd_admission_rejected_total sums to %v, clients saw %d 429s", counted, rejected.Load())
+	}
+	t.Logf("%d sessions completed, %d requests rejected", completed.Load(), rejected.Load())
 }

@@ -9,11 +9,10 @@ import (
 	"time"
 )
 
-// TestNoGoroutineLeakUnderEvictionChurn is the loadgen-shaped leak
-// regression test: clients page parallel (sharded) sessions mid-stream while
-// deletes and LRU capacity evictions race them, the way a load generator
-// hammers the daemon. Every shard producer must unwind — the goroutine count
-// has to return to its pre-churn baseline.
+// TestNoGoroutineLeakUnderEvictionChurn is the leak regression test under
+// concurrent clients: they page parallel (sharded) sessions mid-stream while
+// deletes and LRU capacity evictions race them. Every shard producer must
+// unwind — the goroutine count has to return to its pre-churn baseline.
 func TestNoGoroutineLeakUnderEvictionChurn(t *testing.T) {
 	// Capacity 2 with 4 concurrent clients forces LRU evictions of sessions
 	// that are mid-page in another goroutine.
